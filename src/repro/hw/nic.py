@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from ..netstack.packet import ip_to_bytes
 from ..sim.engine import Completion
 from ..sim.fabric import Fabric
 from ..telemetry import names
@@ -200,8 +201,6 @@ def rss_queue_for_flow(src_ip: str, dst_ip: str, src_port: int,
     [26:38]: src ip, dst ip, src port, dst port), so the answer is
     bit-identical to :meth:`DpdkNic._rss_queue` on the real frame.
     """
-    from ..netstack.packet import ip_to_bytes
-
     tuple_bytes = (ip_to_bytes(src_ip) + ip_to_bytes(dst_ip)
                    + struct.pack("!HH", src_port, dst_port))
     return rss_hash(tuple_bytes) % n_queues

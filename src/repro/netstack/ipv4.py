@@ -21,6 +21,9 @@ DEFAULT_MTU = 1500
 
 _FLAG_DF = 0x4000
 
+#: the header up to the addresses; the checksum is its last field
+_FIXED = struct.Struct("!BBHHHBBH")
+
 
 @dataclass
 class Ipv4Packet:
@@ -35,8 +38,8 @@ class Ipv4Packet:
         total_len = IPV4_HEADER_LEN + len(self.payload)
         if total_len > 65535:
             raise PacketError("IPv4 packet too large: %d" % total_len)
-        header_wo_csum = struct.pack(
-            "!BBHHHBBH",
+        addrs = ip_to_bytes(self.src) + ip_to_bytes(self.dst)
+        fixed = (
             (4 << 4) | 5,          # version + IHL
             0,                      # DSCP/ECN
             total_len,
@@ -44,19 +47,16 @@ class Ipv4Packet:
             _FLAG_DF,
             self.ttl,
             self.proto,
-            0,                      # checksum placeholder
-        ) + ip_to_bytes(self.src) + ip_to_bytes(self.dst)
-        csum = internet_checksum(header_wo_csum)
-        header = header_wo_csum[:10] + struct.pack("!H", csum) + header_wo_csum[12:]
-        return header + self.payload
+        )
+        csum = internet_checksum(_FIXED.pack(*fixed, 0), addrs)
+        return _FIXED.pack(*fixed, csum) + addrs + self.payload
 
     @classmethod
     def unpack(cls, raw: bytes, verify_checksum: bool = True) -> "Ipv4Packet":
         if len(raw) < IPV4_HEADER_LEN:
             raise PacketError("IPv4 packet too short: %d bytes" % len(raw))
-        ver_ihl, _tos, total_len, ident, _flags, ttl, proto, _csum = struct.unpack(
-            "!BBHHHBBH", raw[0:12]
-        )
+        ver_ihl, _tos, total_len, ident, _flags, ttl, proto, _csum = (
+            _FIXED.unpack_from(raw))
         version = ver_ihl >> 4
         ihl = (ver_ihl & 0xF) * 4
         if version != 4:
@@ -74,12 +74,4 @@ class Ipv4Packet:
             payload=raw[IPV4_HEADER_LEN:total_len],
             ttl=ttl,
             ident=ident,
-        )
-
-    def pseudo_header(self, payload_len: int) -> bytes:
-        """The TCP/UDP checksum pseudo-header for this packet's addresses."""
-        return (
-            ip_to_bytes(self.src)
-            + ip_to_bytes(self.dst)
-            + struct.pack("!BBH", 0, self.proto, payload_len)
         )

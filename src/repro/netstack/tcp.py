@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim.sync import WaitQueue
 from ..telemetry import names
-from .packet import PacketError, internet_checksum, ip_to_bytes
+from .ipv4 import PROTO_TCP
+from .packet import PacketError, internet_checksum, pseudo_header
 
 __all__ = [
     "TcpSegment",
@@ -45,6 +46,9 @@ ACK = 0x10
 TCP_HEADER_LEN = 20
 DEFAULT_MSS = 1460
 
+#: ports, seq, ack, data offset, flags, window, checksum, urgent pointer
+_HEADER = struct.Struct("!HHIIBBHHH")
+
 # Simulation-friendly timer constants (ns).  Real stacks use 200ms+ minimum
 # RTOs; with microsecond RTTs in the simulated fabric that would only slow
 # convergence in simulated time, so we scale them to the RTT regime.
@@ -64,9 +68,8 @@ def tcp_checksum_ok(raw: bytes, src_ip: str, dst_ip: str) -> bool:
     """Verify a raw TCP segment's checksum over the IPv4 pseudo-header."""
     if len(raw) < TCP_HEADER_LEN:
         return False
-    pseudo = (ip_to_bytes(src_ip) + ip_to_bytes(dst_ip)
-              + struct.pack("!BBH", 0, 6, len(raw)))
-    return internet_checksum(pseudo + raw) == 0
+    pseudo = pseudo_header(src_ip, dst_ip, PROTO_TCP, len(raw))
+    return internet_checksum(pseudo, raw) == 0
 
 
 @dataclass
@@ -85,8 +88,7 @@ class TcpSegment:
         if self.mss is not None:
             options = struct.pack("!BBH", 2, 4, self.mss)
         data_offset = (TCP_HEADER_LEN + len(options)) // 4
-        header = struct.pack(
-            "!HHIIBBHHH",
+        fields = (
             self.src_port,
             self.dst_port,
             self.seq & 0xFFFFFFFF,
@@ -94,21 +96,20 @@ class TcpSegment:
             data_offset << 4,
             self.flags,
             self.window,
-            0,  # checksum placeholder
-            0,  # urgent pointer
-        ) + options
-        length = len(header) + len(self.payload)
-        pseudo = ip_to_bytes(src_ip) + ip_to_bytes(dst_ip) + struct.pack("!BBH", 0, 6, length)
-        csum = internet_checksum(pseudo + header + self.payload)
-        header = header[:16] + struct.pack("!H", csum) + header[18:]
-        return header + self.payload
+        )
+        length = TCP_HEADER_LEN + len(options) + len(self.payload)
+        pseudo = pseudo_header(src_ip, dst_ip, PROTO_TCP, length)
+        # Checksum placeholder and urgent pointer are the last two fields.
+        csum = internet_checksum(pseudo, _HEADER.pack(*fields, 0, 0),
+                                 options, self.payload)
+        return _HEADER.pack(*fields, csum, 0) + options + self.payload
 
     @classmethod
     def unpack(cls, raw: bytes) -> "TcpSegment":
         if len(raw) < TCP_HEADER_LEN:
             raise PacketError("TCP segment too short")
         (src_port, dst_port, seq, ack, off_field, flags, window,
-         _csum, _urg) = struct.unpack("!HHIIBBHHH", raw[0:20])
+         _csum, _urg) = _HEADER.unpack_from(raw)
         data_offset = (off_field >> 4) * 4
         if data_offset < TCP_HEADER_LEN or data_offset > len(raw):
             raise PacketError("bad TCP data offset")

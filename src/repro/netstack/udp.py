@@ -5,11 +5,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .packet import PacketError, internet_checksum, ip_to_bytes
+from .ipv4 import PROTO_UDP
+from .packet import PacketError, internet_checksum, pseudo_header
 
 __all__ = ["UdpDatagram", "UDP_HEADER_LEN", "udp_checksum_ok"]
 
 UDP_HEADER_LEN = 8
+
+_HEADER = struct.Struct("!HHHH")  # src port, dst port, length, checksum
 
 
 def udp_checksum_ok(raw: bytes, src_ip: str, dst_ip: str) -> bool:
@@ -22,9 +25,8 @@ def udp_checksum_ok(raw: bytes, src_ip: str, dst_ip: str) -> bool:
         return False
     if raw[6:8] == b"\x00\x00":
         return True
-    pseudo = (ip_to_bytes(src_ip) + ip_to_bytes(dst_ip)
-              + struct.pack("!BBH", 0, 17, len(raw)))
-    return internet_checksum(pseudo + raw) == 0
+    pseudo = pseudo_header(src_ip, dst_ip, PROTO_UDP, len(raw))
+    return internet_checksum(pseudo, raw) == 0
 
 
 @dataclass
@@ -35,24 +37,20 @@ class UdpDatagram:
 
     def pack(self, src_ip: str, dst_ip: str, with_checksum: bool = True) -> bytes:
         length = UDP_HEADER_LEN + len(self.payload)
-        header = struct.pack("!HHHH", self.src_port, self.dst_port, length, 0)
+        csum = 0
         if with_checksum:
-            pseudo = (
-                ip_to_bytes(src_ip)
-                + ip_to_bytes(dst_ip)
-                + struct.pack("!BBH", 0, 17, length)
-            )
-            csum = internet_checksum(pseudo + header + self.payload)
-            if csum == 0:
-                csum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
-            header = header[:6] + struct.pack("!H", csum)
-        return header + self.payload
+            header = _HEADER.pack(self.src_port, self.dst_port, length, 0)
+            pseudo = pseudo_header(src_ip, dst_ip, PROTO_UDP, length)
+            # RFC 768: a transmitted zero means "no checksum".
+            csum = internet_checksum(pseudo, header, self.payload) or 0xFFFF
+        return (_HEADER.pack(self.src_port, self.dst_port, length, csum)
+                + self.payload)
 
     @classmethod
     def unpack(cls, raw: bytes) -> "UdpDatagram":
         if len(raw) < UDP_HEADER_LEN:
             raise PacketError("UDP datagram too short")
-        src_port, dst_port, length, _csum = struct.unpack("!HHHH", raw[0:8])
+        src_port, dst_port, length, _csum = _HEADER.unpack_from(raw)
         if length < UDP_HEADER_LEN or length > len(raw):
             raise PacketError("bad UDP length %d" % length)
         return cls(src_port=src_port, dst_port=dst_port, payload=raw[8:length])

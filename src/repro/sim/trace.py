@@ -24,17 +24,25 @@ class CounterScope:
     (:mod:`repro.telemetry.names`) - the full counter name is
     ``"<prefix>.<leaf>"``, exactly the string the old inline
     ``"%s.%s" % (self.name, counter)`` formatting produced, so every
-    pinned golden counter keeps its name.
+    pinned golden counter keeps its name.  Each leaf's full name is
+    formatted once per scope and cached; a counter still only appears
+    in :attr:`Tracer.counters` once it is first bumped.
     """
 
-    __slots__ = ("tracer", "prefix")
+    __slots__ = ("tracer", "prefix", "_full_names")
 
     def __init__(self, tracer: "Tracer", prefix: str):
         self.tracer = tracer
         self.prefix = prefix
+        #: leaf -> full name, so a hot counter is formatted only once
+        self._full_names: Dict[str, str] = {}
 
     def _full(self, name: str) -> str:
-        return "%s.%s" % (self.prefix, name) if self.prefix else name
+        full = self._full_names.get(name)
+        if full is None:
+            full = "%s.%s" % (self.prefix, name) if self.prefix else name
+            self._full_names[name] = full
+        return full
 
     def count(self, name: str, n: int = 1) -> None:
         self.tracer.counters[self._full(name)] += n

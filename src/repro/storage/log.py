@@ -27,6 +27,7 @@ from typing import Generator, List, Optional
 
 from ..hw.nvme import NvmeDevice
 from ..sim.cpu import Core
+from ..sim.engine import Completion
 
 __all__ = ["LogStore", "LogError", "RECORD_HEADER_LEN"]
 
@@ -56,6 +57,8 @@ class LogStore:
         #: write buffer: bytes accepted but not yet flushed to flash
         self._buffer = bytearray()
         self._buffer_base = 0  # log offset of _buffer[0]
+        #: fires when the latest sync's flush lands (or fails)
+        self._landed: Optional[Completion] = None
         #: in-memory copy of the last flushed partial block, so the next
         #: sync's read-modify-write needs no device read
         self._tail_block = b""
@@ -93,19 +96,32 @@ class LogStore:
         return record_id
 
     def sync(self) -> Generator:
-        """Sim-coroutine: flush buffered records to flash and barrier."""
+        """Sim-coroutine: flush buffered records to flash and barrier.
+
+        Syncs run one at a time: a sync that finds another in flight
+        waits for it to land first.  Appends accepted while a flush is in
+        flight stay buffered for the next sync.  Returns the number of
+        buffered bytes this call flushed.
+        """
+        while self._landed is not None and not self._landed.triggered:
+            try:
+                yield self._landed
+            except Exception:
+                pass  # that flush failed; its bytes are still buffered
         if not self._buffer:
             yield self.core.busy(self.costs.spdk_submit_ns)
             return 0
+        flushed = len(self._buffer)
         # Pad the dirty region to whole blocks.  The flush rewrites the
         # partial head block if the previous sync ended mid-block.
         start_offset = self._buffer_base - (self._buffer_base % self.block_size)
         head_pad = self._buffer_base - start_offset
+        head_block = self._tail_block
         data = bytearray()
         if head_pad:
             # Rewrite the partial head block from the in-memory copy kept
             # by the previous sync - no device read needed.
-            data.extend(self._tail_block[:head_pad])
+            data.extend(head_block[:head_pad])
         data.extend(self._buffer)
         tail_pad = (-len(data)) % self.block_size
         # Remember the new partial tail block for the next sync.
@@ -115,13 +131,21 @@ class LogStore:
         else:
             self._tail_block = b""
         data.extend(b"\x00" * tail_pad)
-        yield self.core.busy(self.costs.spdk_submit_ns)
-        yield self.nvme.submit_write(self._lba_of(start_offset), bytes(data))
-        yield self.core.busy(self.costs.spdk_submit_ns)
-        yield self.nvme.submit_flush()
-        flushed = len(self._buffer)
-        self._buffer.clear()
-        self._buffer_base = self.tail
+        landed = self._landed = self.nvme.sim.completion("log.sync")
+        try:
+            yield self.core.busy(self.costs.spdk_submit_ns)
+            yield self.nvme.submit_write(self._lba_of(start_offset),
+                                         bytes(data))
+            yield self.core.busy(self.costs.spdk_submit_ns)
+            yield self.nvme.submit_flush()
+        except BaseException as exc:
+            self._tail_block = head_block  # the next sync rewrites it all
+            landed.fail(exc)
+            raise
+        # Only the snapshotted prefix is durable; later appends stay.
+        del self._buffer[:flushed]
+        self._buffer_base += flushed
+        landed.trigger()
         return flushed
 
     # -- reads -----------------------------------------------------------------------

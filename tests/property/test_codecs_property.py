@@ -38,7 +38,59 @@ class TestAddressProperties:
         assert bytes_to_ip(ip_to_bytes(ip)) == ip
 
 
+def reference_checksum(data: bytes) -> int:
+    """RFC 1071 the textbook way: a per-word end-around-carry loop."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
+def _fill(pair):
+    length, byte = pair
+    return bytes([byte]) * length
+
+
+def _word_sum_multiple_of_ffff(words):
+    # Append the word that makes the 16-bit word sum a multiple of 0xFFFF
+    # (the case where a non-zero sum folds to 0xFFFF, never to 0).
+    total = sum(words)
+    last = (-total) % 0xFFFF or 0xFFFF
+    return b"".join(w.to_bytes(2, "big") for w in words + [last])
+
+
+checksum_inputs = st.one_of(
+    st.binary(min_size=0, max_size=9000),
+    st.binary(min_size=0, max_size=64),
+    st.tuples(st.integers(0, 9000), st.sampled_from([0x00, 0xFF])).map(_fill),
+    st.lists(st.integers(0, 0xFFFF), max_size=64).map(
+        _word_sum_multiple_of_ffff),
+)
+
+
 class TestChecksumProperties:
+    @given(checksum_inputs)
+    @settings(max_examples=300)
+    def test_matches_per_word_reference(self, data):
+        assert internet_checksum(data) == reference_checksum(data)
+
+    @given(checksum_inputs, st.data())
+    def test_parts_match_concatenation(self, data, draw):
+        cut1 = draw.draw(st.integers(0, len(data)))
+        cut2 = draw.draw(st.integers(cut1, len(data)))
+        parts = (data[:cut1], bytearray(data[cut1:cut2]),
+                 memoryview(data[cut2:]))
+        assert internet_checksum(*parts) == reference_checksum(data)
+
+    def test_reference_edge_cases(self):
+        for data in (b"", b"\x00", b"\xff", b"\x00" * 4096, b"\xff" * 4096,
+                     b"\xff" * 4097, b"\xff\xfe\x00\x01",
+                     _word_sum_multiple_of_ffff([0x1234, 0xABCD])):
+            assert internet_checksum(data) == reference_checksum(data)
+
     @given(st.binary(min_size=0, max_size=512))
     def test_checksum_fits_16_bits(self, data):
         assert 0 <= internet_checksum(data) <= 0xFFFF

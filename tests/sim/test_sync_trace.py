@@ -161,6 +161,39 @@ class TestCounterScope:
         b.count("x")
         assert t.get("h.x") == 2
 
+    def test_cached_names_match_uncached_formatting(self):
+        t = Tracer()
+        scopes = [("", t.scope("")), ("h", t.scope("h")),
+                  ("h.kernel", t.scope("h").scope("kernel")),
+                  ("kernel", t.scope("").scope("kernel")),
+                  ("h.", t.scope("h").scope(""))]
+        for prefix, scope in scopes:
+            for leaf in ("syscalls", "tcp.rx", "syscalls"):
+                before = dict(t.counters)
+                scope.count(leaf, 2)
+                full = "%s.%s" % (prefix, leaf) if prefix else leaf
+                assert t.diff(before) == {full: 2}
+                assert scope.get(leaf) == t.get(full)
+
+    def test_lookup_without_bump_adds_no_counter(self):
+        t = Tracer()
+        s = t.scope("h")
+        assert s.get("never") == 0
+        s.scope("child").get("never")
+        assert "h.never" not in t.counters
+        assert dict(t.counters) == {}
+        s.count("never")  # the name resolved above is reused, now bumped
+        assert dict(t.counters) == {"h.never": 1}
+
+    def test_reset_keeps_names_working(self):
+        t = Tracer()
+        s = t.scope("h")
+        s.count("x")
+        t.reset()
+        assert dict(t.counters) == {}
+        s.count("x")
+        assert dict(t.counters) == {"h.x": 1}
+
 
 class TestLatencyStats:
     def test_empty_stats_are_nan(self):

@@ -119,6 +119,109 @@ class TestAppendRead:
         assert run(w, proc()) == (b"first", b"second")
 
 
+class TestSyncInFlight:
+    """Appends and syncs that overlap a flush not yet landed, or follow
+    one that failed."""
+
+    def _mount_payloads(self, w, nvme, core):
+        recovered = LogStore(nvme, core)
+
+        def proc():
+            found = yield from recovered.mount()
+            out = []
+            for rid in found:
+                out.append((yield from recovered.read(rid)))
+            return out
+
+        return run(w, proc())
+
+    def test_append_during_sync_is_not_lost(self):
+        w, store, nvme = make_store()
+        payloads = [bytes([i]) * (700 + 333 * i) for i in range(6)]
+
+        def proc():
+            rids = []
+            for p in payloads[:3]:
+                rids.append((yield from store.append(p)))
+            flusher = w.sim.spawn(store.sync())
+            yield w.sim.timeout(1)
+            assert not flusher.triggered  # the first flush is in flight
+            for p in payloads[3:]:
+                rids.append((yield from store.append(p)))
+            first = yield flusher
+            second = yield from store.sync()
+            back = []
+            for rid in rids:
+                back.append((yield from store.read(rid)))
+            return first, second, back
+
+        first, second, back = run(w, proc())
+        assert back == payloads
+        assert first + second == store.tail
+        assert store.unsynced_bytes == 0
+        assert self._mount_payloads(w, nvme, store.core) == payloads
+
+    def test_overlapping_syncs_run_one_at_a_time(self):
+        w, store, nvme = make_store()
+        payloads = [b"a" * 5000, b"b" * 123, b"c" * 4000]
+        finished = []
+
+        def syncer(tag):
+            flushed = yield from store.sync()
+            finished.append(tag)
+            return flushed
+
+        def proc():
+            yield from store.append(payloads[0])
+            a = w.sim.spawn(syncer("a"))
+            yield w.sim.timeout(1)
+            b = w.sim.spawn(syncer("b"))  # arrives while a's flush is in flight
+            yield w.sim.timeout(1)
+            yield from store.append(payloads[1])
+            yield from store.append(payloads[2])
+            c = w.sim.spawn(syncer("c"))  # new bytes behind two running syncs
+            flushed = [(yield a), (yield b), (yield c)]
+            reads = []
+            for rid in (0, 12 + 5000, 2 * 12 + 5000 + 123):
+                reads.append((yield from store.read(rid)))
+            return flushed, reads
+
+        flushed, reads = run(w, proc())
+        assert reads == payloads
+        assert flushed[0] == 12 + 5000  # a's snapshot, not the later appends
+        assert sum(flushed) == store.tail
+        assert finished == ["a", "b", "c"]
+        assert store.unsynced_bytes == 0
+        assert self._mount_payloads(w, nvme, store.core) == payloads
+
+    def test_failed_sync_is_resubmitted_whole(self):
+        from ..conftest import make_spdk_libos
+        from repro.core.types import DeviceFailed
+        from repro.sim.faults import FaultPlan
+
+        w, libos = make_spdk_libos()
+        store, nvme = libos.store, libos.nvme
+        outage = (1_000_000, 50_000_000)  # outlasts the recovery ladder
+        w.install_faults(FaultPlan(seed=1).nvme_ctrl_fail("nvme0", *outage))
+        # The first sync ends mid-block; the failed one crosses a block.
+        payloads = [b"x" * 100, b"y" * 5000, b"z" * 300]
+
+        def proc():
+            yield from store.append(payloads[0])
+            yield from store.sync()
+            yield w.sim.timeout(outage[0] - w.sim.now)
+            yield from store.append(payloads[1])
+            with pytest.raises(DeviceFailed):
+                yield from store.sync()
+            yield w.sim.timeout(outage[1] - w.sim.now)
+            yield from store.append(payloads[2])
+            return (yield from store.sync())
+
+        flushed = run(w, proc())
+        assert flushed == 2 * 12 + 5000 + 300
+        assert self._mount_payloads(w, nvme, store.core) == payloads
+
+
 class TestRecovery:
     def test_mount_rebuilds_tail(self):
         w, store, nvme = make_store()
