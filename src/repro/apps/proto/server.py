@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ...core.api import LibOS  # noqa: F401  (typing reference)
+from ...telemetry import names
 from ..kvstore import KvEngine
 from .codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG, ST_STORED,
                     ST_VALUE, Codec, CodecError, Request, Response)
@@ -92,8 +93,6 @@ class ProtoService:
 
     def apply(self, request: Request) -> Generator:
         """Sim-coroutine: execute one request; returns the Response."""
-        from ...telemetry import names
-
         libos = self.libos
         yield libos.core.busy(libos.costs.kv_parse_ns)
         op = request.op
@@ -154,8 +153,6 @@ class ProtoService:
         Pipelined replies are coalesced into one byte string so a batch
         of N requests costs one push.
         """
-        from ...telemetry import names
-
         libos = self.libos
         try:
             requests = codec.feed(data)
@@ -209,8 +206,6 @@ class ProtoServer:
 
     def start(self) -> Generator:
         """Spawn-me: listen, accept, dispatch the event loop."""
-        from ...telemetry import names  # noqa: F401
-
         libos = self.libos
         listen_qd = yield from libos.socket()
         yield from libos.bind(listen_qd, self.port)
@@ -227,8 +222,6 @@ class ProtoServer:
             self._accept_proc.interrupt("server stopped")
 
     def _acceptor(self, listen_qd: int) -> Generator:
-        from ...telemetry import names
-
         while True:
             qd = yield from self.libos.accept(listen_qd)
             self.connections_accepted += 1

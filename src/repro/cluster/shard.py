@@ -27,6 +27,9 @@ import struct
 from typing import Generator, List, Optional
 
 from ..apps.kvstore import DemiKvServer, KvEngine
+from ..apps.proto import KvEngineStore, ProtoService, RespCodec
+from ..apps.proto.codec import CodecError
+from ..apps.steering import key_partition
 from ..core.types import DemiTimeout
 from ..libos.dpdk_libos import DpdkLibOS
 from ..telemetry import names
@@ -148,8 +151,6 @@ class ShardProtoServer(ShardKvServer):
                  engine: Optional[KvEngine] = None,
                  shard_index: int = 0, n_shards: int = 1,
                  codec_factory=None):
-        from ..apps.proto import KvEngineStore, ProtoService, RespCodec
-
         super().__init__(libos, port=port, engine=engine,
                          shard_index=shard_index, n_shards=n_shards)
         self.codec_factory = codec_factory or RespCodec
@@ -158,9 +159,6 @@ class ShardProtoServer(ShardKvServer):
         self._codecs: dict = {}  # qd -> per-connection codec state
 
     def _serve(self, qd: int, request_sga) -> Generator:
-        from ..apps.proto.codec import CodecError
-        from ..apps.steering import key_partition
-
         libos = self.libos
         service_start = libos.sim.now
         codec = self._codecs.get(qd)

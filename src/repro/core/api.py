@@ -51,6 +51,9 @@ class LibOS:
         self.name = name
         self.core = core or host.cpu
         self.counters = self.tracer.scope(name)
+        #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``; bound straight to
+        #: the scope so a hot-path bump costs no wrapper frame
+        self.count = self.counters.count
         self.qtokens = QTokenTable(self.sim, self.tracer, name,
                                    telemetry=self.telemetry)
         self._queues: Dict[int, DemiQueue] = {}
@@ -78,9 +81,6 @@ class LibOS:
     def queue_of(self, qd: int) -> DemiQueue:
         """Public inspection access to the queue object behind a qd."""
         return self._lookup(qd)
-
-    def count(self, counter: str, n: int = 1) -> None:
-        self.counters.count(counter, n)
 
     # ------------------------------------------------- data path (Figure 3)
     def push(self, qd: int, sga: Sga) -> QToken:

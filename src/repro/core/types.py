@@ -64,27 +64,35 @@ class DeviceFailed(DemiError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
 class SgaSegment:
-    """One scatter-gather segment: a slice of a registered buffer."""
+    """One scatter-gather segment: a slice of a registered buffer.
 
-    buf: Buffer
-    offset: int = 0
-    length: Optional[int] = None  # None = rest of the buffer
+    A plain ``__slots__`` class rather than a frozen dataclass: one is
+    built per pushed or popped element, and the frozen ``__init__``
+    pays an ``object.__setattr__`` per field.  Treat it as immutable;
+    :attr:`nbytes` is resolved once, at construction.
+    """
 
-    def __post_init__(self):
-        length = self.length if self.length is not None else self.buf.capacity - self.offset
-        if self.offset < 0 or length < 0 or self.offset + length > self.buf.capacity:
+    __slots__ = ("buf", "offset", "length", "nbytes")
+
+    def __init__(self, buf: "Buffer", offset: int = 0,
+                 length: Optional[int] = None):  # None = rest of the buffer
+        capacity = buf.capacity
+        span = length if length is not None else capacity - offset
+        if offset < 0 or span < 0 or offset + span > capacity:
             raise DemiError(
                 "segment [%d, %d) outside buffer of %d bytes"
-                % (self.offset, self.offset + length, self.buf.capacity)
+                % (offset, offset + span, capacity)
             )
+        self.buf = buf
+        self.offset = offset
+        self.length = length
+        #: bytes this segment covers (``length``, or the buffer's rest)
+        self.nbytes = span
 
-    @property
-    def nbytes(self) -> int:
-        if self.length is not None:
-            return self.length
-        return self.buf.capacity - self.offset
+    def __repr__(self) -> str:
+        return "SgaSegment(buf=%r, offset=%r, length=%r)" % (
+            self.buf, self.offset, self.length)
 
     def tobytes(self) -> bytes:
         return self.buf.read(self.offset, self.nbytes)
@@ -104,7 +112,10 @@ class Sga:
 
     @property
     def nbytes(self) -> int:
-        return sum(seg.nbytes for seg in self.segments)
+        total = 0
+        for seg in self.segments:
+            total += seg.nbytes
+        return total
 
     @property
     def nsegments(self) -> int:
@@ -112,7 +123,10 @@ class Sga:
 
     def tobytes(self) -> bytes:
         """Gather the segments (timing-free; devices do this via DMA)."""
-        return b"".join(seg.tobytes() for seg in self.segments)
+        segments = self.segments
+        if len(segments) == 1:
+            return segments[0].tobytes()
+        return b"".join([seg.tobytes() for seg in segments])
 
     def buffers(self) -> List[Buffer]:
         return [seg.buf for seg in self.segments]

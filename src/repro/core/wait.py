@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
-from ..sim.engine import Completion, Simulator, any_of
+from ..sim.engine import Completion, Simulator, Timeout, any_of
 from ..telemetry import DISABLED, names
 from .types import DemiError, DemiTimeout, QResult, QToken
 
@@ -69,7 +69,7 @@ class QTokenTable:
         """
         token = self._next_token
         self._next_token += 1
-        done = self.sim.completion("%s.%d" % (self.name, token))
+        done = Completion(self.sim, ("%s.%d", self.name, token))
         self._pending[token] = done
         if on_cancel is not None:
             self._on_cancel[token] = on_cancel
@@ -130,6 +130,17 @@ class QTokenTable:
             raise DemiError("unknown or already-waited qtoken %r" % token)
         return done
 
+    def _completions_of(self, tokens: Sequence[QToken]) -> List[Completion]:
+        """:meth:`completion_of` for each token, as a fresh list."""
+        pending = self._pending
+        out = []
+        for token in tokens:
+            done = pending.get(token)
+            if done is None:
+                raise DemiError("unknown or already-waited qtoken %r" % token)
+            out.append(done)
+        return out
+
     @property
     def outstanding(self) -> int:
         return len(self._pending)
@@ -189,15 +200,14 @@ class QTokenTable:
         """
         if not tokens:
             raise DemiError("wait_any on no tokens")
-        entered = self.sim.now
-        completions = [self.completion_of(t) for t in tokens]
-        events = list(completions)
+        sim = self.sim
+        entered = sim.now
+        events = self._completions_of(tokens)
         timer = None
         if timeout_ns is not None:
-            timer = self.sim.timeout(timeout_ns, WAIT_TIMEOUT)
+            timer = Timeout(sim, timeout_ns, WAIT_TIMEOUT)
             events.append(timer)
-        which = yield any_of(self.sim, events)
-        index, value = which
+        index, value = yield any_of(sim, events)
         if timer is not None and index == len(tokens):
             self.counters.count(names.WAIT_TIMEOUTS)
             raise DemiTimeout(timeout_ns, tokens)
@@ -232,15 +242,15 @@ class QTokenTable:
         """
         if not tokens:
             raise DemiError("wait_any_n on no tokens")
-        entered = self.sim.now
-        completions = [self.completion_of(t) for t in tokens]
+        sim = self.sim
+        entered = sim.now
+        completions = self._completions_of(tokens)
         events = list(completions)
         timer = None
         if timeout_ns is not None:
-            timer = self.sim.timeout(timeout_ns, WAIT_TIMEOUT)
+            timer = Timeout(sim, timeout_ns, WAIT_TIMEOUT)
             events.append(timer)
-        which = yield any_of(self.sim, events)
-        index, value = which
+        index, value = yield any_of(sim, events)
         if timer is not None and index == len(tokens):
             self.counters.count(names.WAIT_TIMEOUTS)
             raise DemiTimeout(timeout_ns, tokens)

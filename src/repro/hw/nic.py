@@ -246,6 +246,8 @@ class DpdkNic(_EthernetNic):
         self._ring_gauges = [
             self.telemetry.gauge("%s.rxq%d_occupancy" % (name, q))
             for q in range(n_rx_queues)]
+        #: per-queue counter leaf, formatted once instead of per frame
+        self._rxq_frames = [names.rxq_frames(q) for q in range(n_rx_queues)]
 
     # -- receive-side scaling ----------------------------------------------
     def _is_ipv4(self, frame: bytes) -> bool:
@@ -323,7 +325,7 @@ class DpdkNic(_EthernetNic):
             return
         ring.append(frame)
         self.count(names.RX_FRAMES)
-        self.count(names.rxq_frames(queue))
+        self.count(self._rxq_frames[queue])
         self._ring_gauges[queue].set(len(ring))
         waiters, self._rx_waiters[queue] = self._rx_waiters[queue], []
         for w in waiters:
@@ -358,7 +360,7 @@ class DpdkNic(_EthernetNic):
         charges its poll cost (``costs.dpdk_poll_ns``) when it wakes - the
         same observable latency a ~100 ns spin loop gives.
         """
-        done = self.sim.completion("%s.rxq%d" % (self.name, queue))
+        done = Completion(self.sim, ("%s.rxq%d", self.name, queue))
         if self._rx_rings[queue]:
             done.trigger(None)
         else:
@@ -482,7 +484,7 @@ class HwCq:
         return len(self._cqes)
 
     def signal(self) -> Completion:
-        done = self.sim.completion("%s.signal" % self.name)
+        done = Completion(self.sim, ("%s.signal", self.name))
         if self._cqes:
             done.trigger(None)
         else:

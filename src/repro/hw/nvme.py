@@ -119,7 +119,7 @@ class NvmeDevice(Device):
             self.telemetry.span("nvme_read", cat="device", track=self.name,
                                 lba=lba, nbytes=nbytes).end(
                                     end_ns=self.sim.now + delay)
-        done = self.sim.completion("%s.read" % self.name)
+        done = Completion(self.sim, ("%s.read", self.name))
         data = b"".join(
             self._blocks.get(lba + i, b"\x00" * self.block_size)
             for i in range(nblocks)
@@ -145,7 +145,7 @@ class NvmeDevice(Device):
         view = memoryview(data)
         for i in range(nblocks):
             self._blocks[lba + i] = bytes(view[i * self.block_size:(i + 1) * self.block_size])
-        done = self.sim.completion("%s.write" % self.name)
+        done = Completion(self.sim, ("%s.write", self.name))
         return self._dispatch(done, "write", len(data), delay, nblocks,
                               write=True)
 
@@ -168,7 +168,7 @@ class NvmeDevice(Device):
             self.telemetry.span("nvme_scan", cat="device", track=self.name,
                                 lba=lba, nbytes=nbytes).end(
                                     end_ns=self.sim.now + delay)
-        done = self.sim.completion("%s.scan" % self.name)
+        done = Completion(self.sim, ("%s.scan", self.name))
 
         def compute():
             data = b"".join(
@@ -189,7 +189,7 @@ class NvmeDevice(Device):
             self.telemetry.span("nvme_flush", cat="device",
                                 track=self.name).end(
                                     end_ns=self.sim.now + delay)
-        done = self.sim.completion("%s.flush" % self.name)
+        done = Completion(self.sim, ("%s.flush", self.name))
         return self._dispatch(done, "flush", 0, delay, None, write=False)
 
     # -- completion, recovery ladder, teardown -------------------------------

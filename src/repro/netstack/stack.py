@@ -24,7 +24,8 @@ from .arp import ARP_REPLY, ARP_REQUEST, ArpPacket
 from .ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
 from .ipv4 import DEFAULT_MTU, IPV4_HEADER_LEN, PROTO_TCP, PROTO_UDP, Ipv4Packet
 from .packet import PacketError
-from .tcp import TcpConnection, TcpListener, TcpSegment, tcp_checksum_ok
+from .tcp import (ACK, RST, SYN, TcpConnection, TcpListener, TcpSegment,
+                  tcp_checksum_ok)
 from .udp import UdpDatagram, udp_checksum_ok
 
 __all__ = ["NetStack", "BROADCAST_MAC"]
@@ -301,10 +302,9 @@ class NetStack:
             conn.on_segment(seg)
             return
         # New connection?
-        from .tcp import SYN, ACK as ACK_FLAG, RST as RST_FLAG
         listener = self._tcp_listeners.get(seg.dst_port)
         if listener is not None and not listener.closed and seg.flags & SYN \
-                and not seg.flags & ACK_FLAG:
+                and not seg.flags & ACK:
             conn = TcpConnection(self, (self.ip, seg.dst_port),
                                  (packet.src, seg.src_port),
                                  iss=self._alloc_isn(),
@@ -315,11 +315,11 @@ class NetStack:
             conn.start_passive(seg)
             return
         # No home for this segment: RST (unless it was itself a RST).
-        if not seg.flags & RST_FLAG:
+        if not seg.flags & RST:
             self.counters.count(names.TCP_RST_SENT)
             rst = TcpSegment(seg.dst_port, seg.src_port,
                              seg.ack, seg.seq + len(seg.payload) + 1,
-                             RST_FLAG | ACK_FLAG, 0)
+                             RST | ACK, 0)
             self._tx_ipv4(Ipv4Packet(self.ip, packet.src, PROTO_TCP,
                                      rst.pack(self.ip, packet.src),
                                      ident=self._next_ident()))

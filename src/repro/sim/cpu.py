@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .engine import Completion, Simulator
+from .engine import Completion, Simulator, Timeout
 
 __all__ = ["Core", "CpuSet"]
 
@@ -44,20 +44,22 @@ class Core:
         ns = int(ns)
         if ns < 0:
             raise ValueError("negative CPU charge %d" % ns)
-        now = self.sim.now
-        start = max(now, self._free_at)
-        done = start + ns
+        sim = self.sim
+        now = sim.now
+        free_at = self._free_at
+        done = (free_at if free_at > now else now) + ns
         self._free_at = done
         self.busy_ns += ns
         self.jobs += 1
-        return self.sim.timeout(done - now)
+        return Timeout(sim, done - now)
 
     def charge_async(self, ns: int) -> None:
         """Account CPU time that nobody waits on (e.g. softirq work)."""
+        ns = int(ns)
         now = self.sim.now
-        start = max(now, self._free_at)
-        self._free_at = start + int(ns)
-        self.busy_ns += int(ns)
+        free_at = self._free_at
+        self._free_at = (free_at if free_at > now else now) + ns
+        self.busy_ns += ns
         self.jobs += 1
 
     def charge_retro(self, ns: int) -> None:

@@ -31,7 +31,7 @@ Example::
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -64,19 +64,31 @@ class Completion:
     A completion starts *pending*; it may be triggered exactly once with a
     value (or failed with an exception).  Any number of processes and
     callbacks may subscribe; they all run when it fires.
+
+    *label* names the completion in reprs and error messages.  It is
+    either a string or a ``(format, *args)`` tuple rendered only when
+    :attr:`label` is read, so a hot path can name every completion it
+    mints without paying a string format for each.
     """
 
-    __slots__ = ("sim", "_value", "_exc", "_done", "_callbacks", "label")
+    __slots__ = ("sim", "_value", "_exc", "_done", "_callbacks", "_label")
 
-    def __init__(self, sim: "Simulator", label: str = ""):
+    def __init__(self, sim: "Simulator", label: Any = ""):
         self.sim = sim
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._done = False
         self._callbacks: List[Callable[["Completion"], None]] = []
-        self.label = label
+        self._label = label
 
     # -- inspection ----------------------------------------------------
+    @property
+    def label(self) -> str:
+        label = self._label
+        if type(label) is tuple:
+            return label[0] % label[1:]
+        return label
+
     @property
     def triggered(self) -> bool:
         return self._done
@@ -100,7 +112,14 @@ class Completion:
             raise SimulationError("completion %r triggered twice" % self.label)
         self._done = True
         self._value = value
-        self._dispatch()
+        # Callbacks run inline.  The list is swapped out first, so an
+        # interrupt() that detaches from this completion mid-dispatch
+        # cannot shorten the iteration.
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for cb in callbacks:
+                cb(self)
         return self
 
     def fail(self, exc: BaseException) -> "Completion":
@@ -109,13 +128,12 @@ class Completion:
             raise SimulationError("completion %r triggered twice" % self.label)
         self._done = True
         self._exc = exc
-        self._dispatch()
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for cb in callbacks:
+                cb(self)
         return self
-
-    def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
 
     # -- subscription ----------------------------------------------------
     def subscribe(self, callback: Callable[["Completion"], None]) -> None:
@@ -131,17 +149,33 @@ class Completion:
 
 
 class Timeout(Completion):
-    """A completion triggered by the clock after a fixed delay."""
+    """A completion triggered by the clock after a fixed delay.
+
+    The hottest allocation in the simulator (every CPU charge waited on
+    is one), so the constructor sets the slots and pushes its own heap
+    entry instead of going through ``Completion.__init__`` and
+    ``Simulator._schedule_at``.
+    """
 
     __slots__ = ("delay", "_entry")
 
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError("negative timeout %r" % delay)
-        super().__init__(sim, label="timeout(%d)" % delay)
+        self.sim = sim
+        self._value = None
+        self._exc = None
+        self._done = False
+        self._callbacks = []
         self.delay = delay
-        self._entry = sim._schedule_at(sim.now + int(delay), self.trigger,
-                                       value)
+        sim._seq += 1
+        entry = self._entry = [sim.now + int(delay), sim._seq,
+                               self.trigger, (value,)]
+        heappush(sim._heap, entry)
+
+    @property
+    def label(self) -> str:
+        return "timeout(%d)" % self.delay
 
     def cancel(self) -> None:
         """Withdraw the pending trigger; no-op once fired.
@@ -167,7 +201,7 @@ class Process(Completion):
     __slots__ = ("gen", "name", "_waiting_on", "_interrupts", "alive")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
-        super().__init__(sim, label="process(%s)" % (name or "anon"))
+        super().__init__(sim, ("process(%s)", name or "anon"))
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "proc")
         self._waiting_on: Optional[Completion] = None
@@ -175,26 +209,26 @@ class Process(Completion):
         self.alive = True
         # First step happens through the event loop so that spawn() inside
         # a running process doesn't reentrantly execute the child.
-        sim._schedule_at(sim.now, self._step, None, None)
+        sim._schedule_at(sim.now, self._resume, _START)
 
     # -- driving ---------------------------------------------------------
-    def _resume(self, completion: Completion) -> None:
-        if not self.alive:
-            return
-        self._waiting_on = None
-        if completion._exc is not None:
-            self._step(None, completion._exc)
-        else:
-            self._step(completion._value, None)
-
     #: consecutive already-triggered yields before declaring a livelock
     #: (a process spinning on instantly-ready completions never lets the
     #: clock advance; fail loudly instead of hanging the simulation)
     MAX_SYNC_CONTINUATIONS = 100_000
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _resume(self, completion: Completion) -> None:
+        """Run the coroutine on *completion*'s outcome until it blocks.
+
+        This is the callback a waiting process plants on its target, and
+        the event-loop entry for the first step and for interrupts (fed
+        :data:`_START`, which carries neither a value nor an error).
+        """
         if not self.alive:
             return
+        self._waiting_on = None
+        exc = completion._exc
+        value = completion._value if exc is None else None
         sim = self.sim
         sim._active = self
         sync_spins = 0
@@ -212,7 +246,7 @@ class Process(Completion):
                         "process %s yielded %r; processes must yield "
                         "Completion objects" % (self.name, target)
                     )
-                if target.triggered:
+                if target._done:
                     # Already done: continue synchronously with its value.
                     sync_spins += 1
                     if sync_spins > self.MAX_SYNC_CONTINUATIONS:
@@ -227,7 +261,9 @@ class Process(Completion):
                     value = target._value
                     continue
                 self._waiting_on = target
-                target.subscribe(self._resume)
+                # A fresh bound method per wait: caching one on the
+                # process would make every process a reference cycle.
+                target._callbacks.append(self._resume)
                 return
         except StopIteration as stop:
             self.alive = False
@@ -257,7 +293,11 @@ class Process(Completion):
                 waiting._callbacks.remove(self._resume)
             except ValueError:
                 pass
-            self.sim._schedule_at(self.sim.now, self._step, None, None)
+            self.sim._schedule_at(self.sim.now, self._resume, _START)
+
+
+#: the no-outcome completion a process's first step and interrupts resume on
+_START = Completion(None)
 
 
 class _MultiWait(Completion):
@@ -273,28 +313,36 @@ class _MultiWait(Completion):
     __slots__ = ("remaining", "mode", "results", "_events", "_cbs")
 
     def __init__(self, sim: "Simulator", events: List[Completion], mode: str):
-        super().__init__(sim, label="%s(%d)" % (mode, len(events)))
+        super().__init__(sim)
+        n = len(events)
         self.mode = mode
-        self.results: List[Any] = [None] * len(events)
-        self.remaining = len(events)
+        self.results: List[Any] = [None] * n
+        self.remaining = n
         self._events = events
-        self._cbs: List[Optional[Callable]] = [None] * len(events)
+        self._cbs: List[Optional[Callable]] = [None] * n
         if not events:
             self.trigger([])
             return
         for i, ev in enumerate(events):
             cb = self._make_cb(i)
             self._cbs[i] = cb
-            ev.subscribe(cb)
+            if not ev._done:
+                ev._callbacks.append(cb)
+                continue
+            cb(ev)
             if self._done:
                 # An already-triggered event resolved the wait mid-
                 # construction ("any" win or a failure); never subscribe
                 # to the rest, they would leak.
                 break
 
+    @property
+    def label(self) -> str:
+        return "%s(%d)" % (self.mode, len(self.results))
+
     def _make_cb(self, index: int) -> Callable[[Completion], None]:
         def cb(ev: Completion) -> None:
-            if self.triggered:
+            if self._done:
                 return
             # Detach before triggering: dispatch resumes the waiting
             # process synchronously, and it must not observe our stale
@@ -343,16 +391,13 @@ class Simulator:
 
     def __init__(self) -> None:
         self._heap: List[Any] = []
-        self._now = 0
+        #: current simulated time in nanoseconds; a plain attribute for
+        #: speed, read-only by convention - only the run loop writes it
+        self.now = 0
         self._seq = 0
         self._tombstones = 0
         self._active: Optional[Process] = None
         self.processes_spawned = 0
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -360,14 +405,14 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
     def _schedule_at(self, when: int, fn: Callable, *args: Any) -> List[Any]:
-        if when < self._now:
+        if when < self.now:
             raise SimulationError("cannot schedule into the past")
         self._seq += 1
         # Entries are lists so a cancellation can tombstone one in place
         # (fn=None) without an O(n) heap removal.  The unique seq in slot
         # 1 means heap comparisons never reach the (unorderable) fn slot.
         entry = [when, self._seq, fn, args]
-        heapq.heappush(self._heap, entry)
+        heappush(self._heap, entry)
         return entry
 
     def _cancel_scheduled(self, entry: List[Any]) -> None:
@@ -382,12 +427,16 @@ class Simulator:
         # deadline) keeps the heap at O(live entries).
         if self._tombstones > 64 and self._tombstones * 2 > len(self._heap):
             self._heap = [e for e in self._heap if e[2] is not None]
-            heapq.heapify(self._heap)
+            heapify(self._heap)
             self._tombstones = 0
 
     def call_in(self, delay: int, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after *delay* ns of simulated time."""
-        self._schedule_at(self._now + int(delay), fn, *args)
+        delay = int(delay)
+        if delay < 0:
+            raise SimulationError("cannot schedule into the past")
+        self._seq += 1
+        heappush(self._heap, [self.now + delay, self._seq, fn, args])
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """A completion that fires *delay* ns from now."""
@@ -408,39 +457,41 @@ class Simulator:
 
         Returns the simulated time at which the run stopped.
         """
+        pop = heappop
         while self._heap:
             heap = self._heap  # compaction may replace the list
             when, _seq, fn, args = heap[0]
             if fn is None:  # tombstoned by a cancellation
-                heapq.heappop(heap)
+                pop(heap)
                 self._tombstones -= 1
                 continue
             if until is not None and when > until:
-                self._now = until
-                return self._now
-            heapq.heappop(heap)
-            self._now = when
+                self.now = until
+                return until
+            pop(heap)
+            self.now = when
             fn(*args)
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def run_until_complete(self, proc: Process, limit: int = 10**15) -> Any:
         """Run until *proc* finishes (or the time limit trips) and return
         its value."""
-        while self._heap and not proc.triggered:
+        pop, push = heappop, heappush
+        while self._heap and not proc._done:
             heap = self._heap  # compaction may replace the list
-            entry = heapq.heappop(heap)
+            entry = pop(heap)
             when, _seq, fn, args = entry
             if fn is None:  # tombstoned by a cancellation
                 self._tombstones -= 1
                 continue
             if when > limit:
-                heapq.heappush(heap, entry)
+                push(heap, entry)
                 break
-            self._now = when
+            self.now = when
             fn(*args)
-        if not proc.triggered:
+        if not proc._done:
             raise SimulationError(
                 "process %s did not finish within %d ns" % (proc.name, limit)
             )
@@ -450,6 +501,6 @@ class Simulator:
         """Time of the next scheduled event, or None if the heap is empty."""
         heap = self._heap
         while heap and heap[0][2] is None:
-            heapq.heappop(heap)
+            heappop(heap)
             self._tombstones -= 1
         return heap[0][0] if heap else None

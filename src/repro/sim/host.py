@@ -46,17 +46,14 @@ class Host:
         self.counters = self.tracer.scope(name)
         self.rng = rng or Rng(hash(name) & 0xFFFFFF)
         self.cpus = CpuSet(sim, cores, costs.cpu_ghz)
+        #: core 0, where single-threaded apps run
+        self.cpu: Core = self.cpus[0]
         # Components attached by their builders:
         self.kernel: Any = None
         self.mm: Any = None
         self.nics: List[Any] = []
         self.nvme: Any = None
         self.extras: Dict[str, Any] = {}
-
-    @property
-    def cpu(self) -> Core:
-        """The host's core 0 (where single-threaded apps run)."""
-        return self.cpus[0]
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start an application process on this host."""

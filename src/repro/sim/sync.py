@@ -21,12 +21,14 @@ class WaitQueue:
     def __init__(self, sim: Simulator, name: str = "waitq"):
         self.sim = sim
         self.name = name
+        #: shared lazy label of every wait completion (rendered on demand)
+        self._wait_label = ("%s.wait", name)
         self._waiters: List[Completion] = []
         self._observers: List[Any] = []
         self.pulses = 0
 
     def wait(self) -> Completion:
-        done = self.sim.completion("%s.wait" % self.name)
+        done = Completion(self.sim, self._wait_label)
         self._waiters.append(done)
         return done
 
@@ -50,8 +52,9 @@ class WaitQueue:
         waiters, self._waiters = self._waiters, []
         for w in waiters:
             w.trigger(value)
-        for observer in list(self._observers):
-            observer()
+        if self._observers:
+            for observer in list(self._observers):
+                observer()
         return len(waiters)
 
     def pulse_one(self, value: Any = None) -> bool:

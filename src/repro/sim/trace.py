@@ -16,6 +16,21 @@ from typing import Any, Dict, List, Tuple
 __all__ = ["Tracer", "CounterScope", "LatencyStats"]
 
 
+class _FullNames(dict):
+    """leaf -> ``"<prefix>.<leaf>"``, formatted on first lookup only."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, leaf: str) -> str:
+        full = "%s.%s" % (self.prefix, leaf) if self.prefix else leaf
+        self[leaf] = full
+        return full
+
+
 class CounterScope:
     """A counter handle bound to one name prefix.
 
@@ -27,32 +42,32 @@ class CounterScope:
     pinned golden counter keeps its name.  Each leaf's full name is
     formatted once per scope and cached; a counter still only appears
     in :attr:`Tracer.counters` once it is first bumped.
+
+    :meth:`count` is the hottest call in the simulator, so it is one
+    frame: one dict lookup for the full name (the cache's
+    ``__missing__`` formats it the first time) and one increment on the
+    tracer's counter dict, held directly.
     """
 
-    __slots__ = ("tracer", "prefix", "_full_names")
+    __slots__ = ("tracer", "prefix", "_counters", "_full_names")
 
     def __init__(self, tracer: "Tracer", prefix: str):
         self.tracer = tracer
         self.prefix = prefix
-        #: leaf -> full name, so a hot counter is formatted only once
-        self._full_names: Dict[str, str] = {}
-
-    def _full(self, name: str) -> str:
-        full = self._full_names.get(name)
-        if full is None:
-            full = "%s.%s" % (self.prefix, name) if self.prefix else name
-            self._full_names[name] = full
-        return full
+        # Tracer.reset() clears this dict in place, so the reference
+        # stays valid for the tracer's lifetime.
+        self._counters = tracer.counters
+        self._full_names = _FullNames(prefix)
 
     def count(self, name: str, n: int = 1) -> None:
-        self.tracer.counters[self._full(name)] += n
+        self._counters[self._full_names[name]] += n
 
     def get(self, name: str) -> int:
-        return self.tracer.counters.get(self._full(name), 0)
+        return self._counters.get(self._full_names[name], 0)
 
     def scope(self, suffix: str) -> "CounterScope":
         """A nested scope: ``scope("a").scope("b")`` prefixes ``a.b``."""
-        return CounterScope(self.tracer, self._full(suffix))
+        return CounterScope(self.tracer, self._full_names[suffix])
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<CounterScope %r>" % self.prefix
@@ -62,6 +77,7 @@ class Tracer:
     """Named counters plus an optional bounded event log."""
 
     def __init__(self, keep_events: bool = False, max_events: int = 100000):
+        #: never rebound - CounterScope handles hold this dict directly
         self.counters: Dict[str, int] = defaultdict(int)
         self.keep_events = keep_events
         self.max_events = max_events

@@ -162,7 +162,8 @@ class LogStore:
                                          local + RECORD_HEADER_LEN + length])
             yield self.core.busy(self.costs.spdk_submit_ns // 4)
         else:
-            header_bytes, payload = yield from self._read_from_device(record_id)
+            header_bytes, payload, _ = yield from self._read_from_device(
+                record_id)
             magic, length, crc = _HEADER.unpack(header_bytes)
         if magic != _MAGIC:
             raise LogError("bad magic at record %d" % record_id)
@@ -174,7 +175,11 @@ class LogStore:
         return payload
 
     def _read_from_device(self, offset: int) -> Generator:
-        """Read header+payload blocks covering the record at *offset*."""
+        """Read header+payload blocks covering the record at *offset*.
+
+        Returns ``(header, payload, blocks)``; *blocks* is the raw data
+        read, starting at the block that holds *offset*.
+        """
         yield self.core.busy(self.costs.spdk_submit_ns)
         first_lba = self._lba_of(offset)
         within = offset % self.block_size
@@ -195,7 +200,7 @@ class LogStore:
             block = block + rest
         payload = bytes(block[within + RECORD_HEADER_LEN:
                               within + RECORD_HEADER_LEN + length])
-        return header, payload
+        return header, payload, block
 
     # -- scans ("BPF for storage") ------------------------------------------------------
     def scan(self, predicate) -> Generator:
@@ -251,7 +256,7 @@ class LogStore:
         matches = []
         offset = 0
         while offset + RECORD_HEADER_LEN <= self._buffer_base:
-            header, payload = yield from self._read_from_device(offset)
+            header, payload, _ = yield from self._read_from_device(offset)
             magic, length, crc = _HEADER.unpack(header)
             if magic != _MAGIC:
                 break
@@ -271,12 +276,17 @@ class LogStore:
 
         Returns the list of valid record ids found.  Stops at the first
         hole or corrupt header, exactly like log replay after a crash.
+        When the log ends mid-block, the recovered head of that block is
+        kept as the next sync's rewrite copy, so appending after a mount
+        does not overwrite the last recovered records.
         """
         offset = 0
         found: List[int] = []
+        last_blocks = b""
         while offset + RECORD_HEADER_LEN <= self.capacity_bytes:
             try:
-                header, payload = yield from self._read_from_device(offset)
+                header, payload, blocks = yield from self._read_from_device(
+                    offset)
             except Exception:
                 break
             magic, length, crc = _HEADER.unpack(header)
@@ -285,10 +295,20 @@ class LogStore:
             if zlib.crc32(payload) & 0xFFFFFFFF != crc:
                 break
             found.append(offset)
+            last_blocks = blocks
             offset += RECORD_HEADER_LEN + length
         self.tail = offset
         self._buffer.clear()
         self._buffer_base = offset
+        fill = offset % self.block_size
+        if fill:
+            # The last record's read already covers the partial block:
+            # *last_blocks* starts at the block holding that record.
+            base = found[-1] - found[-1] % self.block_size
+            self._tail_block = bytes(last_blocks[offset - fill - base:
+                                                 offset - base])
+        else:
+            self._tail_block = b""
         return found
 
     @property

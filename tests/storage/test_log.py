@@ -285,6 +285,39 @@ class TestRecovery:
         found = run(w, recover_phase())
         assert len(found) < 3
 
+    def test_append_after_remount_keeps_recovered_records(self):
+        # The log ends mid-block after each phase, so the second sync
+        # must rewrite the recovered head of that block, not zeros.
+        w, store, nvme = make_store()
+        first = [b"alpha" * 30, b"beta" * 500]
+        second = [b"gamma" * 70, b"delta" * 3]
+
+        def append_and_sync(log, payloads):
+            def proc():
+                for p in payloads:
+                    yield from log.append(p)
+                yield from log.sync()
+            return proc()
+
+        def mount_payloads(log):
+            def proc():
+                found = yield from log.mount()
+                out = []
+                for rid in found:
+                    out.append((yield from log.read(rid)))
+                return out
+            return proc()
+
+        run(w, append_and_sync(store, first))
+        assert store.tail % store.block_size != 0
+        remounted = LogStore(nvme, store.core)
+        assert run(w, mount_payloads(remounted)) == first
+        run(w, append_and_sync(remounted, second))
+        assert remounted.tail % remounted.block_size != 0
+        recovered = LogStore(nvme, store.core)
+        assert run(w, mount_payloads(recovered)) == first + second
+        assert recovered.tail == remounted.tail
+
 
 class TestSpdkLibOS:
     def test_creat_push_pop(self):
