@@ -10,14 +10,8 @@ libOS, with a periodic timer sweeping expired entries.
 Run:  python examples/memcached_cache.py
 """
 
-from repro.apps.cache import (
-    ST_HIT,
-    ST_MISS,
-    CacheServer,
-    cache_client,
-    encode_get,
-    encode_set,
-)
+from repro.apps.cache import CacheServer, cache_client
+from repro.apps.proto import ST_MISS, ST_VALUE, Request
 from repro.bench.report import print_table
 from repro.testbed import make_dpdk_libos_pair
 
@@ -30,17 +24,17 @@ def main():
     def scenario():
         # Fill past capacity: LRU eviction kicks in.
         replies = yield from cache_client(client_libos, "10.0.0.2", [
-            encode_set(b"alpha", b"1"),
-            encode_set(b"beta", b"2", ttl_ms=1),   # 1 ms TTL
-            encode_set(b"gamma", b"3"),
-            encode_set(b"delta", b"4"),            # evicts alpha (LRU)
-            encode_get(b"alpha"),
-            encode_get(b"gamma"),
+            Request(op="set", key=b"alpha", value=b"1"),
+            Request(op="set", key=b"beta", value=b"2", ttl_ms=1),  # 1 ms TTL
+            Request(op="set", key=b"gamma", value=b"3"),
+            Request(op="set", key=b"delta", value=b"4"),  # evicts alpha
+            Request(op="get", key=b"alpha"),
+            Request(op="get", key=b"gamma"),
         ])
         # Outlive beta's TTL; the loop's timer sweep collects it.
         yield world.sim.timeout(3_000_000)
-        replies += yield from cache_client(client_libos, "10.0.0.2",
-                                           [encode_get(b"beta")])
+        replies += yield from cache_client(
+            client_libos, "10.0.0.2", [Request(op="get", key=b"beta")])
         return replies
 
     proc = world.sim.spawn(scenario())
@@ -48,9 +42,9 @@ def main():
     server.stop()
 
     replies = proc.value
-    assert replies[4][0] == ST_MISS   # alpha evicted
-    assert replies[5] == (ST_HIT, b"3")
-    assert replies[6][0] == ST_MISS   # beta expired
+    assert replies[4].status == ST_MISS   # alpha evicted
+    assert (replies[5].status, replies[5].value) == (ST_VALUE, b"3")
+    assert replies[6].status == ST_MISS   # beta expired
 
     print_table(
         "cache server on DemiEventLoop",

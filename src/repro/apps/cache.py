@@ -8,94 +8,35 @@ a periodic expiry timer - running entirely on
 :class:`repro.core.eventloop.DemiEventLoop`, so it works unchanged on any
 libOS.
 
-The wire format lives in :class:`repro.apps.proto.legacy.
-LegacyCacheCodec` (big-endian)::
+:class:`CacheServer` is a :class:`~repro.apps.proto.server.ProtoServer`
+over :class:`~repro.apps.proto.legacy.LegacyCacheCodec` and an
+:class:`LruTtlCache`, plus the sweep timer: requests go through the same
+feed -> apply -> encode body as every other protocol server, so split
+and pipelined requests decode correctly and pipelined replies coalesce.
+The wire format (big-endian) is owned by the codec::
 
     request:  op:u8 ('S'|'G'|'D')  klen:u16  key
               [S: ttl_ms:u32  vlen:u32  value]
     response: status:u8 ('H' hit | 'M' miss | 'S' stored | 'D' deleted)
               [H: vlen:u32  value]
 
-The server parses incrementally per connection, so a request split
-across queue elements or several requests pipelined into one element
-both decode correctly (the old parser assumed one complete request per
-element and silently truncated split values).
-
 Cache policy lives in :class:`LruTtlCache` - bounded entry count with
 LRU eviction; per-entry TTL enforced lazily on access and eagerly by
-the timer sweep - so the protocol layer (:class:`repro.apps.proto.
-server.LruCacheStore`) can reuse it behind RESP or memcached-binary.
+the timer sweep.  Its ``get`` / ``set(ttl_ms)`` / ``delete`` already
+match the protocol layer's store contract, so the same cache serves
+RESP or memcached-binary behind a plain ``ProtoServer`` too.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Generator, Optional, Tuple
+from typing import Callable, Generator, Optional
 
 from ..core.api import LibOS
-from ..core.eventloop import DemiEventLoop
-from ..core.types import Sga
-from ..telemetry import names
+from .proto.legacy import LegacyCacheCodec
+from .proto.server import ProtoServer
 
-__all__ = ["CacheServer", "CacheStats", "LruTtlCache", "cache_client",
-           "encode_set", "encode_get", "encode_delete", "decode_reply"]
-
-OP_SET = ord("S")
-OP_GET = ord("G")
-OP_DELETE = ord("D")
-ST_HIT = ord("H")
-ST_MISS = ord("M")
-ST_STORED = ord("S")
-ST_DELETED = ord("D")
-
-
-# -- codec - thin deprecated delegates over the unified codec layer ------
-# New code should use repro.apps.proto.legacy.LegacyCacheCodec directly.
-
-def _codec():
-    from .proto.legacy import LegacyCacheCodec
-
-    return LegacyCacheCodec()
-
-
-def encode_set(key: bytes, value: bytes, ttl_ms: int = 0) -> bytes:
-    """Deprecated: use :class:`repro.apps.proto.legacy.LegacyCacheCodec`."""
-    from .proto.codec import Request
-
-    return _codec().encode_request(
-        Request(op="set", key=key, value=value, ttl_ms=ttl_ms))
-
-
-def encode_get(key: bytes) -> bytes:
-    """Deprecated: use :class:`repro.apps.proto.legacy.LegacyCacheCodec`."""
-    from .proto.codec import Request
-
-    return _codec().encode_request(Request(op="get", key=key))
-
-
-def encode_delete(key: bytes) -> bytes:
-    """Deprecated: use :class:`repro.apps.proto.legacy.LegacyCacheCodec`."""
-    from .proto.codec import Request
-
-    return _codec().encode_request(Request(op="delete", key=key))
-
-
-def decode_reply(data: bytes) -> Tuple[int, Optional[bytes]]:
-    """Deprecated: use :class:`repro.apps.proto.legacy.LegacyCacheCodec`."""
-    from .proto.codec import ST_COUNT, ST_STORED as P_STORED, ST_VALUE, \
-        CodecError
-
-    replies = _codec().feed_responses(data)
-    if not replies:
-        raise CodecError("truncated cache reply (%d bytes)" % len(data))
-    reply = replies[0]
-    if reply.status == ST_VALUE:
-        return ST_HIT, reply.value
-    if reply.status == P_STORED:
-        return ST_STORED, None
-    if reply.status == ST_COUNT and reply.count > 0:
-        return ST_DELETED, None
-    return ST_MISS, None
+__all__ = ["CacheServer", "CacheStats", "LruTtlCache", "cache_client"]
 
 
 class CacheStats:
@@ -174,118 +115,45 @@ class LruTtlCache:
         return len(self._entries)
 
 
-class CacheServer:
-    """LRU+TTL cache served through DemiEventLoop callbacks."""
+class CacheServer(ProtoServer):
+    """An :class:`LruTtlCache` behind a :class:`ProtoServer` speaking the
+    legacy cache format, plus a periodic expiry sweep on the same loop."""
 
     SWEEP_INTERVAL_NS = 1_000_000  # 1 ms
 
     def __init__(self, libos: LibOS, port: int = 11211,
                  max_entries: int = 1024):
-        self.libos = libos
-        self.port = port
-        self.max_entries = max_entries
-        self.loop = DemiEventLoop(libos)
         self.cache = LruTtlCache(lambda: libos.sim.now, max_entries)
-        self.decode_errors = 0
-        self._started = False
+        super().__init__(libos, LegacyCacheCodec, self.cache, port=port)
 
-    # -- cache policy (delegated; kept for compatibility) ------------------
     @property
     def stats(self) -> CacheStats:
         return self.cache.stats
-
-    def _get(self, key: bytes) -> Optional[bytes]:
-        return self.cache.get(key)
-
-    def _set(self, key: bytes, value: bytes, ttl_ms: int) -> None:
-        self.cache.set(key, value, ttl_ms)
-
-    def _delete(self, key: bytes) -> bool:
-        return self.cache.delete(key)
-
-    def _sweep_expired(self) -> None:
-        self.cache.sweep_expired()
 
     @property
     def entry_count(self) -> int:
         return self.cache.entry_count
 
-    # -- server plumbing ---------------------------------------------------
     def start(self) -> Generator:
-        """Spawn-me: listen, register callbacks, run the event loop."""
-        libos = self.libos
-        listen_qd = yield from libos.socket()
-        yield from libos.bind(listen_qd, self.port)
-        yield from libos.listen(listen_qd)
+        """Spawn-me: arm the expiry sweep, then serve."""
         self.loop.add_timer(self.SWEEP_INTERVAL_NS,
-                            self._sweep_expired, periodic=True)
-        libos.sim.spawn(self._acceptor(listen_qd),
-                        name="cache.acceptor")
-        self._started = True
-        yield from self.loop.run()
-
-    def stop(self) -> None:
-        self.loop.stop()
-
-    def _acceptor(self, listen_qd: int) -> Generator:
-        while True:
-            qd = yield from self.libos.accept(listen_qd)
-            self.loop.add_pop_event(qd, self._make_handler(qd))
-
-    def _make_handler(self, qd: int):
-        codec = _codec()  # per-connection incremental parser state
-
-        def on_request(result):
-            if result.error is not None:
-                return  # connection gone; one-shot cleanup via loop
-            yield from self._serve(qd, codec, result.sga)
-        return on_request
-
-    def _serve(self, qd: int, codec, request: Sga) -> Generator:
-        from .proto.codec import (ST_COUNT, ST_MISS as P_MISS,
-                                  ST_STORED as P_STORED, ST_VALUE,
-                                  CodecError, Response)
-
-        libos = self.libos
-        yield libos.core.busy(libos.costs.kv_parse_ns)
-        try:
-            requests = codec.feed(request.tobytes())
-        except CodecError:
-            # Stream desync: count it and close the connection.
-            self.decode_errors += 1
-            libos.count(names.PROTO_DECODE_ERRORS)
-            yield from libos.close(qd)
-            return
-        for req in requests:
-            if req.op == "set":
-                yield libos.core.busy(libos.costs.kv_put_ns)
-                self._set(req.key, bytes(req.value), req.ttl_ms)
-                response = Response(status=P_STORED)
-            elif req.op == "get":
-                yield libos.core.busy(libos.costs.kv_get_ns)
-                found = self._get(req.key)
-                response = (Response(status=P_MISS) if found is None
-                            else Response(status=ST_VALUE, value=found))
-            else:  # delete
-                yield libos.core.busy(libos.costs.kv_get_ns)
-                deleted = self._delete(req.key)
-                response = Response(status=ST_COUNT,
-                                    count=1 if deleted else 0)
-            # One reply per request keeps one-pop-per-request clients
-            # working; pipelined clients just pop replies in order.
-            yield from libos.blocking_push(
-                qd, libos.sga_alloc(codec.encode(response)))
+                            self.cache.sweep_expired, periodic=True)
+        yield from super().start()
 
 
 def cache_client(libos: LibOS, server_addr: str, requests,
                  port: int = 11211) -> Generator:
-    """Send raw encoded requests; returns decoded (status, value) pairs."""
+    """Send each :class:`Request` and await its reply; returns Responses."""
+    wire = LegacyCacheCodec()
     qd = yield from libos.socket()
     yield from libos.connect(qd, server_addr, port)
     replies = []
     for request in requests:
-        yield from libos.blocking_push(qd, libos.sga_alloc(request))
-        result = yield from libos.blocking_pop(qd)
-        replies.append(decode_reply(result.sga.tobytes()))
+        yield from libos.blocking_push(
+            qd, libos.sga_alloc(wire.encode_request(request)))
+        want = len(replies) + 1
+        while len(replies) < want:
+            result = yield from libos.blocking_pop(qd)
+            replies += wire.feed_responses(result.sga.tobytes())
     yield from libos.close(qd)
     return replies

@@ -34,6 +34,7 @@ from ..netstack.udp import UdpDatagram
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
 from ..telemetry import names
+from .steering import key_partition
 
 __all__ = [
     "KvEngine",
@@ -194,6 +195,12 @@ class DemiKvServer:
     paper says applications should have instead of epoll loops.
     """
 
+    #: requests answered (class-level zero; bumped per instance)
+    requests_served = 0
+    #: requests for keys another shard owns - nonzero means the
+    #: client's flow steering and key partitioning disagree
+    misrouted = 0
+
     def __init__(self, libos: LibOS, port: int = 6379,
                  engine: Optional[KvEngine] = None,
                  shard_index: int = 0, n_shards: int = 1):
@@ -204,15 +211,10 @@ class DemiKvServer:
         #: one server per core; see ``repro.cluster``)
         self.shard_index = shard_index
         self.n_shards = n_shards
-        self.requests_served = 0
-        #: requests for keys another shard owns - nonzero means the
-        #: client's flow steering and key partitioning disagree
-        self.misrouted = 0
         #: application service time per request: pop completion ->
         #: response push completion (what C1 measures)
         self.service_stats = LatencyStats("kv-service")
         self._stop = False
-        self._status_ok: Optional[Buffer] = None
 
     def stop(self) -> None:
         self._stop = True
@@ -263,41 +265,50 @@ class DemiKvServer:
             conn_qds.append(qd)
 
     def _serve(self, qd: int, request_sga: Sga) -> Generator:
+        """Sim-coroutine: serve one request; False on a malformed one."""
+        libos = self.libos
+        service_start = libos.sim.now
+        reply = yield from self._execute(request_sga)
+        if reply is None:
+            return False
+        yield from libos.blocking_push(qd, reply)
+        self.service_stats.add(libos.sim.now - service_start)
+        self.requests_served += 1
+        return True
+
+    def _execute(self, request_sga: Sga) -> Generator:
+        """Sim-coroutine: decode and apply one request.
+
+        Returns the reply :class:`Sga`, or None when the request is
+        malformed (counted; what that means for the transport is the
+        caller's call).
+        """
         from .proto.codec import CodecError
 
         libos = self.libos
         engine = self.engine
-        service_start = libos.sim.now
         yield libos.core.busy(engine.parse_cost())
         try:
             op, key, value = decode_request(request_sga.tobytes())
         except CodecError:
             libos.count(names.KV_MALFORMED_REQUESTS)
-            return False
+            return None
         if self.n_shards > 1:
-            from .steering import key_partition
-
             if key_partition(key, self.n_shards) != self.shard_index:
                 self.misrouted += 1
                 libos.count(names.SHARD_MISROUTED)
         yield libos.core.busy(engine.service_cost(op))
         if op == OP_PUT:
             engine.put(key, bytes(value))
-            reply = self._small_reply(struct.pack("!BI", STATUS_OK, 0))
-        else:
-            buf = engine.get(key)
-            if buf is None:
-                reply = self._small_reply(bytes([STATUS_MISSING]))
-            else:
-                # Zero-copy response: header segment + the stored value
-                # buffer itself as the second segment.
-                header = libos.mm.alloc(5)
-                header.write(0, struct.pack("!BI", STATUS_OK, buf.capacity))
-                reply = Sga([SgaSegment(header), SgaSegment(buf)])
-        yield from libos.blocking_push(qd, reply)
-        self.service_stats.add(libos.sim.now - service_start)
-        self.requests_served += 1
-        return True
+            return self._small_reply(struct.pack("!BI", STATUS_OK, 0))
+        buf = engine.get(key)
+        if buf is None:
+            return self._small_reply(bytes([STATUS_MISSING]))
+        # Zero-copy response: header segment + the stored value buffer
+        # itself as the second segment.
+        header = libos.mm.alloc(5)
+        header.write(0, struct.pack("!BI", STATUS_OK, buf.capacity))
+        return Sga([SgaSegment(header), SgaSegment(buf)])
 
     def _small_reply(self, payload: bytes) -> Sga:
         buf = self.libos.mm.alloc(len(payload))
@@ -330,30 +341,16 @@ def demi_kv_client(libos: LibOS, server_addr: str,
 # UDP frontend + the NIC-resident GET path (claim C6, FlexNIC-style)
 # ---------------------------------------------------------------------------
 
-class UdpKvServer:
+class UdpKvServer(DemiKvServer):
     """The KV engine behind a UDP socket (one datagram = one request).
 
     This is the host half of the offloaded deployment: with a
     :class:`KvNicOffload` program installed on the NIC, short GETs are
     answered on the device and only PUTs / oversized GETs / punted
     traffic ever reach this loop.  It also runs standalone as the
-    un-offloaded baseline.
+    un-offloaded baseline.  Request execution is
+    :meth:`DemiKvServer._execute`; only the datagram loop differs.
     """
-
-    def __init__(self, libos: LibOS, port: int = 6379,
-                 engine: Optional[KvEngine] = None,
-                 shard_index: int = 0, n_shards: int = 1):
-        self.libos = libos
-        self.engine = engine or KvEngine(libos.host, name=libos.name + ".kv")
-        self.port = port
-        self.shard_index = shard_index
-        self.n_shards = n_shards
-        self.requests_served = 0
-        self.service_stats = LatencyStats("kv-service")
-        self._stop = False
-
-    def stop(self) -> None:
-        self._stop = True
 
     def run(self) -> Generator:
         libos = self.libos
@@ -368,45 +365,22 @@ class UdpKvServer:
                 continue
             if result.error is not None:
                 return self.requests_served
-            yield from self._serve(qd, result)
+            yield from self._serve_datagram(qd, result)
             token = libos.pop(qd)
         libos.cancel(token)
         return self.requests_served
 
-    def _serve(self, qd: int, result) -> Generator:
-        from .proto.codec import CodecError
-
+    def _serve_datagram(self, qd: int, result) -> Generator:
         libos = self.libos
-        engine = self.engine
         service_start = libos.sim.now
-        yield libos.core.busy(engine.parse_cost())
-        try:
-            op, key, value = decode_request(result.sga.tobytes())
-        except CodecError:
+        reply = yield from self._execute(result.sga)
+        if reply is None:
             # UDP has no stream to desync: drop the datagram and move on.
-            libos.count(names.KV_MALFORMED_REQUESTS)
             return
-        yield libos.core.busy(engine.service_cost(op))
-        if op == OP_PUT:
-            engine.put(key, bytes(value))
-            reply = self._small_reply(struct.pack("!BI", STATUS_OK, 0))
-        else:
-            buf = engine.get(key)
-            if buf is None:
-                reply = self._small_reply(bytes([STATUS_MISSING]))
-            else:
-                header = libos.mm.alloc(5)
-                header.write(0, struct.pack("!BI", STATUS_OK, buf.capacity))
-                reply = Sga([SgaSegment(header), SgaSegment(buf)])
         push_token = libos.push_to(qd, reply, result.value)
         yield from libos.qtokens.wait(push_token)
         self.service_stats.add(libos.sim.now - service_start)
         self.requests_served += 1
-
-    def _small_reply(self, payload: bytes) -> Sga:
-        buf = self.libos.mm.alloc(len(payload))
-        buf.write(0, payload)
-        return Sga.from_buffer(buf, len(payload))
 
 
 class KvNicOffload:
@@ -490,8 +464,6 @@ class KvNicOffload:
                            + buf.read())
                 return self._reply(frame, payload)
         # -- steer stage: the owning shard's RX queue ----------------------
-        from .steering import key_partition
-
         self.steered += 1
         offload.count(names.OFFLOAD_KV_STEERED)
         return ("steer", key_partition(key, self.n_shards))

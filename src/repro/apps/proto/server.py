@@ -6,9 +6,9 @@ DemiEventLoop` - with the protocol factored out: pass ``RespCodec`` and
 it is a Redis; pass ``MemcachedCodec`` and it is a memcached; pass a
 legacy codec and it speaks the repo's original binary formats.  The
 storage behind it is equally pluggable: :class:`KvEngineStore` adapts
-the zero-copy :class:`~repro.apps.kvstore.KvEngine`,
-:class:`LruCacheStore` adapts the TTL+LRU :class:`~repro.apps.cache.
-LruTtlCache`.
+the zero-copy :class:`~repro.apps.kvstore.KvEngine`, and the TTL+LRU
+:class:`~repro.apps.cache.LruTtlCache` already has the store contract's
+``get`` / ``set(ttl_ms)`` / ``delete`` shape, so it is served directly.
 
 Because the codec is incremental, the server is indifferent to how the
 client chunked its bytes: one element may hold half a request (buffered)
@@ -19,8 +19,11 @@ connection; requests the codec *could* frame but not accept come back
 as ``op == "invalid"`` and get the protocol's inline error reply.
 
 :class:`ProtoService` holds the codec-independent request execution
-(including CAS bookkeeping for memcached) so the sharded frontend
-(:class:`repro.cluster.shard.ShardProtoServer`) reuses it verbatim.
+(including CAS bookkeeping for memcached and the per-request misroute
+check of a sharded deployment); :meth:`ProtoService.handle` is the only
+feed -> apply -> encode body, shared by :class:`ProtoServer`, the
+sharded frontend (:class:`repro.cluster.shard.ShardProtoServer`) and
+the cache server (:class:`repro.apps.cache.CacheServer`).
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple
 from ...core.api import LibOS  # noqa: F401  (typing reference)
 from ...telemetry import names
 from ..kvstore import KvEngine
+from ..steering import key_partition
 from .codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG, ST_STORED,
                     ST_VALUE, Codec, CodecError, Request, Response)
 
-# re-exported late to avoid a circular import with apps.cache
-__all__ = ["KvEngineStore", "LruCacheStore", "ProtoService", "ProtoServer"]
+__all__ = ["KvEngineStore", "ProtoService", "ProtoServer"]
 
 
 class KvEngineStore:
@@ -58,42 +61,38 @@ class KvEngineStore:
         return self.engine.delete(key)
 
 
-class LruCacheStore:
-    """An :class:`~repro.apps.cache.LruTtlCache` behind the store contract."""
-
-    def __init__(self, cache):
-        self.cache = cache
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        return self.cache.get(key)
-
-    def set(self, key: bytes, value: bytes, ttl_ms: int = 0) -> None:
-        self.cache.set(key, value, ttl_ms)
-
-    def delete(self, key: bytes) -> bool:
-        return self.cache.delete(key)
-
-
 class ProtoService:
     """Codec-independent request execution against a store.
 
     Charges the same CPU costs the hand-written servers charge
     (``kv_parse_ns`` per request, ``kv_get_ns``/``kv_put_ns`` per
     operation) and keeps the CAS version map the memcached binary
-    protocol exposes.
+    protocol exposes.  A service that is one of *n_shards* partitions
+    counts every keyed request for a key another shard owns (it still
+    answers it): nonzero means the client's flow steering and the key
+    partitioning disagree.
     """
 
-    def __init__(self, libos, store):
+    def __init__(self, libos, store, shard_index: int = 0,
+                 n_shards: int = 1):
         self.libos = libos
         self.store = store
+        self.shard_index = shard_index
+        self.n_shards = n_shards
         self.requests_served = 0
         self.error_replies = 0
+        self.misrouted = 0
         self._cas: Dict[bytes, int] = {}
         self._cas_counter = 0
 
     def apply(self, request: Request) -> Generator:
         """Sim-coroutine: execute one request; returns the Response."""
         libos = self.libos
+        if (self.n_shards > 1 and request.key
+                and key_partition(request.key, self.n_shards)
+                != self.shard_index):
+            self.misrouted += 1
+            libos.count(names.SHARD_MISROUTED)
         yield libos.core.busy(libos.costs.kv_parse_ns)
         op = request.op
         self.requests_served += 1
@@ -151,17 +150,20 @@ class ProtoService:
         desync (either direction: an unparseable request, or a reply
         the codec cannot carry) - the caller must close the connection.
         Pipelined replies are coalesced into one byte string so a batch
-        of N requests costs one push.
+        of N requests costs one push.  ``reply_bytes`` is None when no
+        complete request was decoded (a partial feed, or desync before
+        the first request), so callers can tell "served nothing" from
+        "served requests with no reply bytes".
         """
         libos = self.libos
         try:
             requests = codec.feed(data)
         except CodecError:
             libos.count(names.PROTO_DECODE_ERRORS)
-            return False, b""
+            return False, None
         if not requests:
             libos.count(names.PROTO_PARTIAL_FEEDS)
-            return True, b""
+            return True, None
         if len(requests) > 1:
             libos.count(names.PROTO_PIPELINE_BATCHES)
         out = bytearray()

@@ -236,7 +236,7 @@ def kv_scaling_document_from_rows(rows: List[Dict[str, object]],
     The experiment runner produces the rows (one
     :func:`kv_rtt_sharded` result per core count, possibly computed in
     parallel worker processes); this assembles the exact persisted
-    document ``tools.check_bench`` / ``repro exp validate`` gate on.
+    document ``repro exp validate`` gates on.
     """
     return {
         "bench": "kv_scaling",

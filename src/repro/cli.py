@@ -15,7 +15,7 @@ Commands:
   and exit nonzero if any invariant was violated;
 * ``bench``       - run a persisted benchmark (``kv-scaling``: the
   sharded throughput sweep) and write its JSON document
-  (``tools.check_bench`` validates it in CI);
+  (``repro exp validate`` checks it in CI);
 * ``exp``         - declarative experiment orchestration
   (:mod:`repro.experiments`): ``run`` a spec file (specs and/or
   matrices) across worker processes and append the schema-validated
@@ -223,7 +223,7 @@ def cmd_chaos(args) -> int:
         workload="chaos", libos=kind, cores=1,
         fault_plan=plan.to_dict(), seed=plan.seed,
         # The single-scenario CLI runs once; reproducibility across
-        # replays is the battery's job (repro exp run / chaos_battery).
+        # replays is the battery's job (experiments/chaos_battery.json).
         params={"scenario": args.scenario, "check_reproducible": False})
     result = execute_spec(spec)
     print("scenario : %s (%s)" % (args.scenario, scenario["blurb"]))
@@ -286,7 +286,7 @@ def cmd_bench(args) -> int:
     if args.append:
         # Trajectory mode: keep prior sweeps alongside the new one so a
         # run's history accumulates instead of being overwritten
-        # (tools.check_bench validates every document in the list).
+        # (``repro exp validate`` checks every document in the list).
         append_document(args.output, doc)
     else:
         atomic_write_json(args.output, doc)

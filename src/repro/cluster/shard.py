@@ -28,8 +28,6 @@ from typing import Generator, List, Optional
 
 from ..apps.kvstore import DemiKvServer, KvEngine
 from ..apps.proto import KvEngineStore, ProtoService, RespCodec
-from ..apps.proto.codec import CodecError
-from ..apps.steering import key_partition
 from ..core.types import DemiTimeout
 from ..libos.dpdk_libos import DpdkLibOS
 from ..telemetry import names
@@ -142,9 +140,11 @@ class ShardProtoServer(ShardKvServer):
     layer differs - each connection gets its own incremental
     :class:`~repro.apps.proto.codec.Codec` (split and pipelined requests
     both decode correctly) and execution goes through the shared
-    :class:`~repro.apps.proto.server.ProtoService`, so the sharded
+    :meth:`~repro.apps.proto.server.ProtoService.handle`, so the sharded
     frontend and the single-core :class:`~repro.apps.proto.server.
-    ProtoServer` answer byte-identically.
+    ProtoServer` answer byte-identically.  The service knows this
+    shard's partition and counts misrouted requests; ``requests_served``
+    and ``misrouted`` read it.
     """
 
     def __init__(self, libos: DpdkLibOS, port: int = 6379,
@@ -154,9 +154,19 @@ class ShardProtoServer(ShardKvServer):
         super().__init__(libos, port=port, engine=engine,
                          shard_index=shard_index, n_shards=n_shards)
         self.codec_factory = codec_factory or RespCodec
-        self.service = ProtoService(libos, KvEngineStore(self.engine))
+        self.service = ProtoService(libos, KvEngineStore(self.engine),
+                                    shard_index=shard_index,
+                                    n_shards=n_shards)
         self.decode_errors = 0
         self._codecs: dict = {}  # qd -> per-connection codec state
+
+    @property
+    def requests_served(self) -> int:
+        return self.service.requests_served
+
+    @property
+    def misrouted(self) -> int:
+        return self.service.misrouted
 
     def _serve(self, qd: int, request_sga) -> Generator:
         libos = self.libos
@@ -164,40 +174,15 @@ class ShardProtoServer(ShardKvServer):
         codec = self._codecs.get(qd)
         if codec is None:
             codec = self._codecs[qd] = self.codec_factory()
-        try:
-            requests = codec.feed(request_sga.tobytes())
-        except CodecError:
-            self.decode_errors += 1
-            libos.count(names.PROTO_DECODE_ERRORS)
-            self._codecs.pop(qd, None)
-            return False
-        if not requests:
-            libos.count(names.PROTO_PARTIAL_FEEDS)
-            return True
-        if len(requests) > 1:
-            libos.count(names.PROTO_PIPELINE_BATCHES)
-        ok = True
-        out = bytearray()
-        for request in requests:
-            if self.n_shards > 1 and request.key:
-                if key_partition(request.key, self.n_shards) \
-                        != self.shard_index:
-                    self.misrouted += 1
-                    libos.count(names.SHARD_MISROUTED)
-            response = yield from self.service.apply(request)
-            try:
-                out += codec.encode(response)
-            except CodecError:
-                self.decode_errors += 1
-                libos.count(names.PROTO_DECODE_ERRORS)
-                ok = False
-                break
-        if out:
-            yield from libos.blocking_push(qd, libos.sga_alloc(bytes(out)))
-        self.service_stats.add(libos.sim.now - service_start)
-        self.requests_served = self.service.requests_served
+        ok, reply = yield from self.service.handle(codec,
+                                                   request_sga.tobytes())
+        if reply:
+            yield from libos.blocking_push(qd, libos.sga_alloc(reply))
+        if reply is not None:
+            self.service_stats.add(libos.sim.now - service_start)
         if not ok:
-            self._codecs.pop(qd, None)
+            self.decode_errors += 1
+            del self._codecs[qd]
         return ok
 
 

@@ -4,8 +4,7 @@ The package has four pieces:
 
 * :mod:`repro.telemetry.spans`   - :class:`Span` + the :class:`Telemetry`
   hub (and the :data:`DISABLED` null hub);
-* :mod:`repro.telemetry.metrics` - :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram`;
+* :mod:`repro.telemetry.metrics` - :class:`Gauge` / :class:`Histogram`;
 * :mod:`repro.telemetry.export`  - Chrome ``trace_event`` JSON and
   plain-dict snapshots;
 * :mod:`repro.telemetry.names`   - the registry every Tracer counter
@@ -21,12 +20,11 @@ events, and never touches the tracer's counters - so a run's
 from . import names
 from .export import (breakdown_from_events, chrome_trace_events,
                      counter_rollup, snapshot, write_chrome_trace)
-from .metrics import Counter, Gauge, Histogram, NULL_METRIC
+from .metrics import Gauge, Histogram, NULL_METRIC
 from .spans import DISABLED, NULL_SPAN, Span, Telemetry
 
 __all__ = [
     "names",
-    "Counter",
     "Gauge",
     "Histogram",
     "NULL_METRIC",

@@ -1,11 +1,11 @@
-"""Typed metrics: Counter, Gauge, Histogram.
+"""Typed metrics: Gauge, Histogram.
 
-These replace raw ``Tracer.count`` bumps on hot paths where a plain
+These sit next to ``Tracer.count`` bumps on hot paths where a plain
 integer loses the shape of the data: a :class:`Histogram` keeps a
 log2-bucketed distribution (qtoken lifetimes, wait dispatch latencies,
-copied bytes per op), a :class:`Gauge` tracks a level and its high-water
-mark (queue depth, RX ring occupancy), and a :class:`Counter` is the
-familiar monotone count with a typed handle.
+copied bytes per op) and a :class:`Gauge` tracks a level and its
+high-water mark (queue depth, RX ring occupancy).  Monotone counts are
+not a metric type: they are :class:`~repro.sim.trace.Tracer` counters.
 
 All metrics are simulation-passive: recording never advances sim time,
 schedules events, or touches the deterministic :class:`Tracer`, so a run
@@ -16,26 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "NULL_METRIC"]
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def summary(self) -> Dict[str, float]:
-        return {"type": "counter", "value": float(self.value)}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<Counter %s=%d>" % (self.name, self.value)
+__all__ = ["Gauge", "Histogram", "NULL_METRIC"]
 
 
 class Gauge:
@@ -157,9 +138,6 @@ class _NullMetric:
     vmin = None
     vmax = None
     mean = 0.0
-
-    def inc(self, n: int = 1) -> None:
-        pass
 
     def set(self, value: int) -> None:
         pass

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .metrics import Counter, Gauge, Histogram, NULL_METRIC
+from .metrics import Gauge, Histogram, NULL_METRIC
 
 __all__ = ["Span", "Telemetry", "NULL_SPAN", "DISABLED"]
 
@@ -156,9 +156,6 @@ class Telemetry:
             raise TypeError("metric %r already registered as %s"
                             % (name, type(metric).__name__))
         return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._metric(Counter, name)
 
     def gauge(self, name: str) -> Gauge:
         return self._metric(Gauge, name)

@@ -8,11 +8,11 @@ stream serves identically, malformed bytes close a TCP stream (and only
 that stream) or drop a UDP datagram (and only that datagram).
 """
 
-from repro.apps.cache import (ST_DELETED, ST_HIT, ST_MISS, ST_STORED,
-                              CacheServer, cache_client, encode_delete,
-                              encode_get, encode_set)
+from repro.apps.cache import CacheServer, cache_client
 from repro.apps.kvstore import (OP_GET, OP_PUT, DemiKvServer, UdpKvServer,
                                 demi_kv_client, udp_kv_client)
+from repro.apps.proto import (ST_COUNT, ST_MISS, ST_STORED, ST_VALUE,
+                              Request, Response)
 from repro.apps.proto.legacy import LegacyCacheCodec
 from repro.telemetry import names
 
@@ -52,9 +52,10 @@ def run_cache_chunks(chunks, n_replies):
 
 
 #: SET(k)=v, GET(k) hit, DELETE(k), GET(k) miss - 4 replies
-CACHE_SCRIPT = (encode_set(b"k", b"v", ttl_ms=0) + encode_get(b"k")
-                + encode_delete(b"k") + encode_get(b"k"))
-CACHE_EXPECTED = [ST_STORED, ST_HIT, ST_DELETED, ST_MISS]
+CACHE_SCRIPT = b"".join(LegacyCacheCodec().encode_request(r) for r in (
+    Request(op="set", key=b"k", value=b"v"), Request(op="get", key=b"k"),
+    Request(op="delete", key=b"k"), Request(op="get", key=b"k")))
+CACHE_EXPECTED = [ST_STORED, ST_VALUE, ST_COUNT, ST_MISS]
 
 
 class TestCacheServerSplitRequests:
@@ -89,15 +90,17 @@ class TestCacheServerSplitRequests:
         assert server.decode_errors == 0
 
     def test_old_client_still_speaks_the_same_wire(self):
-        # The unsplit path through the deprecated helpers is untouched.
+        # The one-request-per-pop client speaks the same wire unsplit.
         w, client, server_libos = make_dpdk_libos_pair()
         server = CacheServer(server_libos)
         w.sim.spawn(server.start(), name="cache-server")
         cp = w.sim.spawn(cache_client(client, "10.0.0.2", [
-            encode_set(b"k", b"cached"), encode_get(b"k")]))
+            Request(op="set", key=b"k", value=b"cached"),
+            Request(op="get", key=b"k")]))
         w.sim.run_until_complete(cp, limit=10**13)
         server.stop()
-        assert cp.value == [(ST_STORED, None), (ST_HIT, b"cached")]
+        assert cp.value == [Response(status=ST_STORED),
+                            Response(status=ST_VALUE, value=b"cached")]
 
     def test_garbage_closes_only_that_connection(self):
         w, client, server_libos = make_dpdk_libos_pair()
@@ -115,12 +118,14 @@ class TestCacheServerSplitRequests:
             yield from client.close(qd)
             # A fresh connection is served normally.
             return (yield from cache_client(client, "10.0.0.2", [
-                encode_set(b"k", b"v"), encode_get(b"k")]))
+                Request(op="set", key=b"k", value=b"v"),
+                Request(op="get", key=b"k")]))
 
         cp = w.sim.spawn(bad_then_good())
         w.sim.run_until_complete(cp, limit=10**13)
         server.stop()
-        assert cp.value == [(ST_STORED, None), (ST_HIT, b"v")]
+        assert cp.value == [Response(status=ST_STORED),
+                            Response(status=ST_VALUE, value=b"v")]
         assert server.decode_errors == 1
         assert server_libos.counters.get(names.PROTO_DECODE_ERRORS) == 1
 

@@ -12,13 +12,14 @@ import pytest
 
 from repro.apps.cache import LruTtlCache
 from repro.apps.kvstore import KvEngine
-from repro.apps.proto import (KvEngineStore, LegacyKvCodec, LruCacheStore,
-                              MemcachedCodec, ProtoServer, RespCodec)
+from repro.apps.proto import (KvEngineStore, LegacyKvCodec, MemcachedCodec,
+                              ProtoServer, RespCodec)
 from repro.apps.proto.codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG,
                                     ST_STORED, ST_VALUE, Request)
 from repro.apps.steering import key_partition
 from repro.cluster.client import src_port_for_queue
 from repro.cluster.shard import ShardProtoServer
+from repro.telemetry import names
 from repro.testbed import make_sharded_kv_world
 
 from ..conftest import make_dpdk_libos_pair, make_posix_libos_pair
@@ -59,8 +60,7 @@ def serve(make_pair, codec_cls, chunks, n_replies, store="kv"):
     if store == "kv":
         backing = KvEngineStore(KvEngine(server_libos.host, name="test.kv"))
     else:
-        backing = LruCacheStore(
-            LruTtlCache(lambda: server_libos.sim.now))
+        backing = LruTtlCache(lambda: server_libos.sim.now)
     server = ProtoServer(server_libos, codec_cls, backing, port=PORT)
     sp = w.sim.spawn(server.start(), name="proto-server")
     cp = w.sim.spawn(script_client(client, codec_cls, chunks, n_replies))
@@ -195,7 +195,7 @@ class TestTtlThroughCacheStore:
     def test_resp_px_expiry_against_lru_cache(self):
         w, client, server_libos = make_dpdk_libos_pair()
         cache = LruTtlCache(lambda: server_libos.sim.now)
-        server = ProtoServer(server_libos, RespCodec, LruCacheStore(cache),
+        server = ProtoServer(server_libos, RespCodec, cache,
                              port=PORT)
         sp = w.sim.spawn(server.start(), name="proto-server")
         cp = w.sim.spawn(ttl_client(client))
@@ -272,3 +272,111 @@ class TestShardedProtoServer:
         assert server.decode_errors == 0
         assert server.requests_served == sum(2 * len(k) for k in owned)
         assert server.qtoken_identity_ok()
+
+    def test_misrouted_request_is_answered_and_counted_once(self):
+        # A flow steered to shard 0 asks for a key shard 1 owns: the
+        # shard still answers, and the disagreement between steering
+        # and partitioning is counted exactly once, in both places.
+        n_shards = 2
+        w, server, clients = make_sharded_kv_world(
+            n_shards, seed=7, port=SHARD_PORT,
+            server_cls=ShardProtoServer,
+            server_kwargs={"codec_factory": RespCodec})
+        server.start()
+        foreign = next(k for k in (b"key-%04d" % j for j in range(64))
+                       if key_partition(k, n_shards) == 1)
+        codec = RespCodec()
+        wire = codec.encode_request(Request(op="set", key=foreign,
+                                            value=b"v"))
+        src_port = src_port_for_queue(clients[0].ip, "10.0.0.100", 0,
+                                      n_shards, SHARD_PORT)
+        proc = w.sim.spawn(raw_reply_client(clients[0], RespCodec,
+                                            "10.0.0.100", [wire], 1,
+                                            SHARD_PORT, src_port=src_port))
+        w.sim.run_until_complete(proc, limit=10**13)
+        server.stop()
+        w.run(until=w.sim.now + 5_000_000)
+
+        assert [r.status for r in codec.feed_responses(proc.value)] \
+            == [ST_STORED]
+        shard0, shard1 = server.shards
+        assert shard0.server.requests_served == 1
+        assert shard1.server.requests_served == 0
+        assert server.misrouted == 1
+        assert shard0.libos.counters.get(names.SHARD_MISROUTED) == 1
+        assert shard1.libos.counters.get(names.SHARD_MISROUTED) == 0
+
+
+def raw_reply_client(libos, codec_cls, server_ip, chunks, n_replies, port,
+                     src_port=None):
+    """Spawn-me: push the chunks; return the raw reply bytes."""
+    codec = codec_cls()
+    qd = yield from libos.socket()
+    yield from libos.connect(qd, server_ip, port, src_port=src_port)
+    for chunk in chunks:
+        yield from libos.blocking_push(qd, libos.sga_alloc(chunk))
+    raw = bytearray()
+    decoded = 0
+    while decoded < n_replies:
+        result = yield from libos.blocking_pop(qd)
+        data = result.sga.tobytes()
+        raw += data
+        decoded += len(codec.feed_responses(data))
+    yield from libos.close(qd)
+    return bytes(raw)
+
+
+#: a script with every reply shape both protocols carry: stored, hit,
+#: miss, delete count, pong, and a re-SET (a fresh CAS on memcached)
+EQUIVALENCE_SCRIPT = SCRIPT + [
+    Request(op="delete", key=b"alpha", opaque=5),
+    Request(op="delete", key=b"alpha", opaque=6),
+    Request(op="set", key=b"beta", value=b"x" * 40, opaque=7),
+    Request(op="get", key=b"beta", opaque=8),
+]
+
+
+class TestShardAndSingleCoreAnswerIdentically:
+    """ProtoServer and a 1-shard ShardProtoServer share one execution
+    body, so the same request stream gets the same reply bytes."""
+
+    @pytest.mark.parametrize("codec_cls", [RespCodec, MemcachedCodec],
+                             ids=lambda c: c.name)
+    def test_pipelined_byte_split_script(self, codec_cls):
+        # 7-byte chunks straddle request boundaries: most pops carry
+        # the tail of one request plus the head of the next.
+        chunks = chunked(wire_for(codec_cls, EQUIVALENCE_SCRIPT), 7)
+        n = len(EQUIVALENCE_SCRIPT)
+
+        w, client, server_libos = make_dpdk_libos_pair()
+        single = ProtoServer(
+            server_libos, codec_cls,
+            KvEngineStore(KvEngine(server_libos.host, name="test.kv")),
+            port=PORT)
+        sp = w.sim.spawn(single.start(), name="proto-server")
+        cp = w.sim.spawn(raw_reply_client(client, codec_cls, "10.0.0.2",
+                                          chunks, n, PORT))
+        w.sim.run_until_complete(cp, limit=10**13)
+        single.stop()
+        if sp.alive:
+            sp.interrupt("test done")
+        single_bytes = cp.value
+
+        w, sharded, clients = make_sharded_kv_world(
+            1, seed=7, port=SHARD_PORT, server_cls=ShardProtoServer,
+            server_kwargs={"codec_factory": codec_cls})
+        sharded.start()
+        src_port = src_port_for_queue(clients[0].ip, "10.0.0.100", 0, 1,
+                                      SHARD_PORT)
+        cp = w.sim.spawn(raw_reply_client(clients[0], codec_cls,
+                                          "10.0.0.100", chunks, n,
+                                          SHARD_PORT, src_port=src_port))
+        w.sim.run_until_complete(cp, limit=10**13)
+        sharded.stop()
+
+        decoded = codec_cls().feed_responses(single_bytes)
+        assert [r.status for r in decoded] == [
+            ST_STORED, ST_VALUE, ST_MISS, ST_PONG, ST_COUNT, ST_COUNT,
+            ST_STORED, ST_VALUE]
+        assert cp.value == single_bytes
+        assert single.requests_served == sharded.requests_served == n

@@ -1,4 +1,8 @@
-"""Tests for the bench validator's v2 schema and trajectory mode."""
+"""Tests for the kv_scaling validator's v2 schema and trajectory mode.
+
+The checks live in :mod:`repro.experiments.schema`; the CLI entry point
+is ``python -m repro exp validate``.
+"""
 
 import copy
 import json
@@ -7,8 +11,9 @@ import pytest
 
 from repro.bench.runners import PER_OP_BUDGET_NS, kv_scaling_document
 from repro.cli import main
-from tools.check_bench import check_document, check_payload
-from tools.check_bench import main as check_main
+from repro.experiments.schema import check_payload
+from repro.experiments.schema import \
+    check_kv_scaling_document as check_document
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +134,7 @@ class TestCliAppendMode:
                                                  doc):
         out = tmp_path / "traj.json"
         out.write_text(json.dumps([doc, doc]))
-        assert check_main([str(out)]) == 0
+        assert main(["exp", "validate", str(out)]) == 0
         assert "2 documents" in capsys.readouterr().out
 
     def test_checker_cli_rejects_bad_file(self, tmp_path, capsys, doc):
@@ -137,5 +142,5 @@ class TestCliAppendMode:
         broken["rows"][0]["cross_shard_wakeups"] = 1
         out = tmp_path / "bad.json"
         out.write_text(json.dumps(broken))
-        assert check_main([str(out)]) == 1
+        assert main(["exp", "validate", str(out)]) == 1
         assert "cross-shard" in capsys.readouterr().err

@@ -17,7 +17,8 @@ from repro.cluster import shard_workload, sharded_kv_client
 from repro.sim.rand import Rng
 from repro.sim.trace import LatencyStats
 from repro.testbed import make_sharded_kv_world
-from tools.check_bench import check_document
+from repro.experiments.schema import \
+    check_kv_scaling_document as check_document
 
 N_SHARDS = 4
 OPS_PER_SHARD = 60

@@ -1,22 +1,9 @@
-"""Unit tests for the typed metrics: Counter, Gauge, Histogram, null."""
+"""Unit tests for the typed metrics: Gauge, Histogram, null."""
 
 import pytest
 
 from repro.telemetry import NULL_METRIC, Telemetry
-from repro.telemetry.metrics import Counter, Gauge, Histogram
-
-
-class TestCounter:
-    def test_incs_accumulate(self):
-        c = Counter("c")
-        c.inc()
-        c.inc(41)
-        assert c.value == 42
-
-    def test_summary(self):
-        c = Counter("c")
-        c.inc(7)
-        assert c.summary()["value"] == 7
+from repro.telemetry.metrics import Gauge, Histogram
 
 
 class TestGauge:
@@ -71,24 +58,23 @@ class TestHub:
     def test_lazy_registration_returns_same_metric(self):
         t = Telemetry(sim=object())
         # object() has no .now but metrics never read the clock
-        assert t.counter("x") is t.counter("x")
+        assert t.gauge("x") is t.gauge("x")
+        assert t.histogram("y") is t.histogram("y")
 
     def test_type_mismatch_raises(self):
         t = Telemetry(sim=object())
-        t.counter("x")
+        t.histogram("x")
         with pytest.raises(TypeError):
             t.gauge("x")
 
     def test_disabled_returns_null(self):
         t = Telemetry(sim=None)
         assert not t.enabled
-        assert t.counter("x") is NULL_METRIC
         assert t.gauge("y") is NULL_METRIC
         assert t.histogram("z") is NULL_METRIC
         assert t.metrics == {}
 
     def test_null_metric_absorbs_everything(self):
-        NULL_METRIC.inc()
         NULL_METRIC.set(5)
         NULL_METRIC.adjust(-1)
         NULL_METRIC.observe(123)

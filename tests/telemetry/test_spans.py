@@ -70,7 +70,7 @@ class TestDisabled:
     def test_reset(self):
         sim, t = make()
         t.span("op").end(end_ns=1)
-        t.counter("c").inc()
+        t.gauge("g").set(1)
         t.reset()
         assert t.spans == []
         assert t.metrics == {}
